@@ -9,7 +9,7 @@ differences.
 import numpy as np
 
 from kp3d import losses
-from kp3d.losses import AttentionParams, LossBatch, LossWeights
+from kp3d.losses import AttentionParams, LossBatch
 
 rng = np.random.default_rng(1)
 
@@ -38,4 +38,7 @@ print("hard keypoint (high score, low IoU) gets the largest weight:",
 uniform, _ = losses.attention_loss(batch, np.ones(batch.n))
 print("unit weights reduce to L1:", uniform == l1)
 
-print("\ntotal objective:", losses.total_loss(value, attn, LossWeights(lam=1.0)))
+# The combined objective is the keypoint loss plus lambda times the
+# regression loss; lambda = 1 here.
+lam = 1.0
+print("\ntotal objective:", value + lam * attn)

@@ -29,12 +29,10 @@ head = RegressionHead(weights=rng.normal(size=(3 * d, 8)), bias=rng.normal(size=
 sparse = litefpn.regress(emb, head)
 print(f"regressed outputs: {sparse.shape} (one 8-tuple per keypoint)")
 
-# Gather-then-regress equals regress-everywhere-then-gather, shown here on a
-# single-scale grid with a matching single-scale head.
+# Gather-then-regress equals regress-everywhere-then-gather, shown here on the
+# fine-level block of the embedding with a matching single-scale head.
 fine_head = RegressionHead(weights=rng.normal(size=(d, 8)), bias=rng.normal(size=8))
-fine_sparse = litefpn.regress(
-    np.stack([pyramid.levels[0][kp.v, kp.u] for kp in kps]), fine_head
-)
+fine_sparse = litefpn.regress(emb[:, :d], fine_head)
 fine_dense = litefpn.dense_regress_then_gather(pyramid.levels[0], fine_head, kps)
 print("sparse equals dense-then-gather:", np.abs(fine_sparse - fine_dense).max() < 1e-12)
 

@@ -3,7 +3,8 @@
 Generates random camera-frame scenes, runs heatmap top-K proposal, sparse
 multi-scale regression and box decoding, scores the detections with
 KITTI-protocol average precision, fits a fresh regression head by gradient
-descent on the L1 loss, and writes a bird's-eye-view SVG.
+descent on the L1 loss, and writes a bird's-eye-view SVG to the current
+directory.
 """
 
 from pathlib import Path
@@ -30,7 +31,7 @@ print(f"\ntraining loss: {trace[0]:.3f} -> {trace[-1]:.2e} over {len(trace)} epo
 aps = [synth.run_pipeline(s, model, regress_head=head)[1]["ap"] for s in scenes[6:]]
 print("held-out scene APs with the learned head:", aps)
 
-out = Path(__file__).with_name("scene0_bev.svg")
+out = Path("scene0_bev.svg")  # written to the current directory
 gts = [GroundTruth(box=b, cls=c) for b, c in scenes[0].objects]
 out.write_text(bev_plot.bev_svg(gts, dets))
 print(f"\nwrote {out.name} (solid red = ground truth, dashed blue = detections)")

@@ -1,9 +1,11 @@
-"""FLOP accounting and wall-time comparison of dense per-pixel regression vs
-sparse top-K gather-and-regress.
+"""FLOP accounting and wall-time comparison of the library's dense and sparse
+regression paths on one seeded feature pyramid.
 
-FLOPs count one multiply plus one add as 2 operations. Timings use a monotonic
-clock and run single-threaded by contract; the sparse path is only timed after
-it has been shown to produce the same values as dense-then-gather.
+The sparse path is `regress(gather_fuse(...))` at K keypoints, gather included;
+the dense path is `dense_regress_then_gather`, a 1x1 head over the whole 1/4
+grid, then sampling the keypoints. FLOPs count one multiply plus one add as 2
+operations. Timings use a monotonic clock; the sparse path is only timed after
+its fine-level block has been shown to equal dense-then-gather.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from .heatmap import Keypoint
+from .litefpn import FeaturePyramid, RegressionHead, dense_regress_then_gather, gather_fuse, regress
 
 
 @dataclass(frozen=True)
@@ -75,33 +80,41 @@ def _time_repeated(fn, warmup: int, repetitions: int) -> list[float]:
 
 
 def time_compare(cfg: BenchConfig = BenchConfig(), assert_speedup: float | None = None) -> BenchReport:
-    """Measure dense vs sparse regression wall time on random data.
+    """Measure dense vs sparse regression wall time on a random feature pyramid.
 
-    Raises if the two paths disagree at the gathered indices (correctness gate)
-    or, when `assert_speedup` is set, if the measured sparse speedup at the
-    median falls below it.
+    Raises if the two paths disagree at the keypoints (correctness gate) or,
+    when `assert_speedup` is set, if the measured sparse speedup at the median
+    falls below it.
     """
     rng = np.random.default_rng(cfg.seed)
-    h4, w4 = cfg.height // 4, cfg.width // 4
-    dense_features = rng.normal(size=(h4 * w4, cfg.channels))
-    embedding = rng.normal(size=(cfg.k, 3 * cfg.channels))
-    head_dense = rng.normal(size=(cfg.channels, cfg.outputs))
-    head_sparse = rng.normal(size=(3 * cfg.channels, cfg.outputs))
-    bias = rng.normal(size=cfg.outputs)
+    h4, w4, d = cfg.height // 4, cfg.width // 4, cfg.channels
+    if h4 < 4 or w4 < 4:
+        raise ValueError("height and width must be >= 16 so keypoints map into every level")
+    pyramid = FeaturePyramid(
+        levels=tuple(rng.normal(size=(h4 // f, w4 // f, d)) for f in (1, 2, 4))
+    )
+    head = RegressionHead(
+        weights=rng.normal(size=(3 * d, cfg.outputs)), bias=rng.normal(size=cfg.outputs)
+    )
+    fine_head = RegressionHead(weights=head.weights[:d], bias=head.bias)
+    # keypoints on the part of the 1/4 grid that every coarser level covers
+    us, vs = rng.integers(0, (w4 // 4 * 4, h4 // 4 * 4), size=(max(cfg.k, 1), 2)).T.tolist()
+    keypoints = [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in zip(us, vs)]
 
-    # correctness gate: sparse single-scale gather-then-regress must equal
-    # dense-then-gather at the same indices
-    idx = rng.integers(0, h4 * w4, size=max(cfg.k, 1))
-    gate_dense = (dense_features @ head_dense + bias)[idx]
-    gate_sparse = dense_features[idx] @ head_dense + bias
+    # correctness gate: the fine-level block of the sparse gather, regressed,
+    # must equal dense-then-gather at the same keypoints
+    gate_sparse = regress(gather_fuse(pyramid, keypoints)[:, :d], fine_head)
+    gate_dense = dense_regress_then_gather(pyramid.levels[0], fine_head, keypoints)
     if not np.allclose(gate_dense, gate_sparse, rtol=0.0, atol=1e-12):
         raise RuntimeError("correctness gate failed: sparse and dense paths disagree")
 
+    keypoints = keypoints[: cfg.k]
     dense_samples = _time_repeated(
-        lambda: dense_features @ head_dense + bias, cfg.warmup, cfg.repetitions
+        lambda: dense_regress_then_gather(pyramid.levels[0], fine_head, keypoints),
+        cfg.warmup, cfg.repetitions,
     )
     sparse_samples = _time_repeated(
-        lambda: embedding @ head_sparse + bias, cfg.warmup, cfg.repetitions
+        lambda: regress(gather_fuse(pyramid, keypoints), head), cfg.warmup, cfg.repetitions
     )
     dense_p = _percentiles(dense_samples)
     sparse_p = _percentiles(sparse_samples)
@@ -140,9 +153,9 @@ def report_csv(cfg: BenchConfig, report: BenchReport) -> str:
 
 def report_summary(cfg: BenchConfig, report: BenchReport) -> str:
     return (
-        f"dense 1x1 regression: {report.flops_dense:,} FLOPs, "
+        f"dense 1x1 head then gather: {report.flops_dense:,} FLOPs, "
         f"median {report.dense_times[1] * 1e3:.3f} ms\n"
-        f"sparse top-{cfg.k} regression: {report.flops_sparse:,} FLOPs "
+        f"sparse top-{cfg.k} gather then head: {report.flops_sparse:,} FLOPs "
         f"(+{report.gather_touches:,} gather touches), "
         f"median {report.sparse_times[1] * 1e3:.3f} ms\n"
         f"flop ratio {report.flop_ratio:.1f}x, measured speedup {report.speedup:.1f}x\n"

@@ -146,18 +146,17 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench
 
-    cfg = bench.BenchConfig(
-        height=args.height,
-        width=args.width,
-        channels=args.channels,
-        outputs=args.outputs,
-        k=args.k,
-        repetitions=args.reps,
-    )
     try:
+        cfg = bench.BenchConfig(
+            height=args.height, width=args.width, channels=args.channels,
+            outputs=args.outputs, k=args.k, repetitions=args.reps,
+        )
         report = bench.time_compare(
             cfg, assert_speedup=None if args.no_assert else args.min_speedup
         )
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BENCH_GATE

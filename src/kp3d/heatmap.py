@@ -93,17 +93,19 @@ def encode_heatmap(keypoints: list[GaussianSpec], shape: HeatmapShape) -> np.nda
     return out
 
 
-def _local_maxima(channel: np.ndarray) -> np.ndarray:
-    """Boolean mask of pixels that are >= all 8 neighbors (edges padded with -inf)."""
-    padded = np.pad(channel, 1, constant_values=-np.inf)
-    neighborhood = np.full_like(channel, -np.inf)
-    for dv in (0, 1, 2):
-        for du in (0, 1, 2):
-            if dv == 1 and du == 1:
-                continue
-            shifted = padded[dv : dv + channel.shape[0], du : du + channel.shape[1]]
-            np.maximum(neighborhood, shifted, out=neighborhood)
-    return channel >= neighborhood
+def _local_maxima(heatmap: np.ndarray) -> np.ndarray:
+    """(C, H, W) mask of pixels >= all 8 same-channel neighbors; neighbors
+    outside the grid are ignored. The shifts update one buffer in place: a
+    padded copy plus temporaries made run_pipeline page-fault on every scene."""
+    _, h, w = heatmap.shape
+    neighborhood = np.full_like(heatmap, -np.inf)
+    for dv in (-1, 0, 1):
+        for du in (-1, 0, 1):
+            if dv or du:  # pixels (v, u) whose neighbor (v + dv, u + du) is on the grid
+                dst = neighborhood[:, max(-dv, 0) : h - max(dv, 0), max(-du, 0) : w - max(du, 0)]
+                src = heatmap[:, max(dv, 0) : h - max(-dv, 0), max(du, 0) : w - max(-du, 0)]
+                np.maximum(dst, src, out=dst)
+    return heatmap >= neighborhood
 
 
 def topk(heatmap: np.ndarray, k: int) -> list[Keypoint]:
@@ -114,27 +116,10 @@ def topk(heatmap: np.ndarray, k: int) -> list[Keypoint]:
     """
     if k < 1:
         return []
-    c, h, w = heatmap.shape
-    mask = np.stack([_local_maxima(heatmap[i]) for i in range(c)])
-    flat_idx = np.flatnonzero(mask.ravel())
+    flat_idx = np.flatnonzero(_local_maxima(heatmap))
     scores = heatmap.ravel()[flat_idx]
     # stable sort on (-score, flat index)
     order = np.lexsort((flat_idx, -scores))[:k]
-    result = []
-    for i in order:
-        fi = flat_idx[i]
-        cls, rem = divmod(int(fi), h * w)
-        v, u = divmod(rem, w)
-        result.append(Keypoint(cls=cls, u=u, v=v, score=float(scores[i])))
-    return result
-
-
-def sample_scores(heatmap: np.ndarray, indices: list[tuple[int, int, int]]) -> np.ndarray:
-    """Heatmap values at (class, u, v) positions, order preserved."""
-    c, h, w = heatmap.shape
-    out = np.empty(len(indices))
-    for i, (cls, u, v) in enumerate(indices):
-        if not (0 <= cls < c and 0 <= u < w and 0 <= v < h):
-            raise IndexError(f"index (class={cls}, u={u}, v={v}) out of bounds")
-        out[i] = heatmap[cls, v, u]
-    return out
+    cls, v, u = np.unravel_index(flat_idx[order], heatmap.shape)
+    rows = zip(cls.tolist(), u.tolist(), v.tolist(), scores[order].tolist())
+    return [Keypoint(cls=c, u=x, v=y, score=s) for c, x, y, s in rows]

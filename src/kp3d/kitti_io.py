@@ -57,6 +57,9 @@ class KittiLabel:
         """Convert to a center-based Box3D; camera y points down, so the center
         sits h/2 above (smaller y than) the bottom-center location."""
         h, w, l = self.dimensions
+        for name, value in zip(("height", "width", "length"), self.dimensions):
+            if value <= 0:
+                raise KittiFormatError(f"field {name!r} must be positive, got {value}")
         x, y, z = self.location
         return Box3D((x, y - h / 2, z), (h, w, l), self.rotation_y)
 
@@ -73,6 +76,8 @@ class KittiLabel:
     def to_detection(self, frame: int = 0) -> Detection:
         if self.score is None:
             raise KittiFormatError("label has no score field; not a detection")
+        if not 0.0 <= self.score <= 1.0:
+            raise KittiFormatError(f"field 'score' must be in [0, 1], got {self.score}")
         return Detection(box=self.to_box3d(), cls=self.type, score=self.score, frame=frame)
 
 
@@ -174,6 +179,8 @@ def load_label_dir(path: str | Path) -> dict[int, list[KittiLabel]]:
         raise FileNotFoundError(f"not a directory: {path}")
     frames = {}
     for f in sorted(path.glob("*.txt")):
+        if not f.stem.isdecimal():
+            raise KittiFormatError(f"label file {f.name!r} is not named by a numeric frame id")
         frames[int(f.stem)] = parse_label_file(f.read_text())
     return frames
 

@@ -34,10 +34,6 @@ class FeaturePyramid:
         if f16.shape[:2] != (f4.shape[0] // 4, f4.shape[1] // 4):
             raise ValueError("1/16 level shape must be floor(1/4 shape / 4)")
 
-    @property
-    def channels(self) -> int:
-        return self.levels[0].shape[2]
-
 
 @dataclass(frozen=True)
 class RegressionHead:
@@ -53,14 +49,36 @@ class RegressionHead:
             raise ValueError("head parameters must be finite")
 
 
+def _factor(stride: int) -> int:
+    """Index divisor from the 1/4 grid to the level at `stride` (4, 8 or 16)."""
+    if stride not in STRIDES:
+        raise ValueError(f"level stride must be one of {STRIDES}")
+    return stride // 4
+
+
+def _take(grid: np.ndarray, uv: np.ndarray, what: str) -> np.ndarray:
+    """Rows grid[v, u] for a (2, K) index array, raising IndexError on any index
+    outside the grid instead of letting negative indices wrap."""
+    (u, v), (h, w) = uv, grid.shape[:2]
+    try:
+        np.ravel_multi_index((v, u), (h, w))  # bounds check only, done in C
+    except ValueError:
+        i = np.flatnonzero((u < 0) | (u >= w) | (v < 0) | (v >= h))[0]
+        raise IndexError(f"{what} ({u[i]}, {v[i]}) out of bounds") from None
+    return grid[v, u]
+
+
+def _keypoint_uv(keypoints: list[Keypoint]) -> np.ndarray:
+    """(2, K) integer array: keypoint u in row 0, v in row 1, on the 1/4 grid."""
+    return np.array([[kp.u for kp in keypoints], [kp.v for kp in keypoints]], dtype=np.intp)
+
+
 def map_indices(indices, level: int):
     """Map (u, v) indices from the 1/4 grid to a coarser level by floor division.
 
     `level` is the stride: 4 (identity), 8 or 16.
     """
-    if level not in STRIDES:
-        raise ValueError(f"level stride must be one of {STRIDES}")
-    factor = level // 4
+    factor = _factor(level)
     return [(u // factor, v // factor) for u, v in indices]
 
 
@@ -69,16 +87,12 @@ def gather_fuse(pyramid: FeaturePyramid, keypoints: list[Keypoint]) -> np.ndarra
 
     Returns a (K, 3D) embedding; row order follows the keypoint order.
     """
-    d = pyramid.channels
-    out = np.empty((len(keypoints), 3 * d))
-    idx4 = [(kp.u, kp.v) for kp in keypoints]
-    for li, (level, stride) in enumerate(zip(pyramid.levels, STRIDES)):
-        h, w = level.shape[:2]
-        for row, (u, v) in enumerate(map_indices(idx4, stride)):
-            if not (0 <= u < w and 0 <= v < h):
-                raise IndexError(f"mapped index ({u}, {v}) out of bounds at stride {stride}")
-            out[row, li * d : (li + 1) * d] = level[v, u]
-    return out
+    uv = _keypoint_uv(keypoints)
+    blocks = [
+        _take(level, uv // _factor(stride), f"stride-{stride} index")
+        for level, stride in zip(pyramid.levels, STRIDES)
+    ]
+    return np.concatenate(blocks, axis=1, dtype=float)
 
 
 def regress(embedding: np.ndarray, head: RegressionHead) -> np.ndarray:
@@ -100,10 +114,4 @@ def dense_regress_then_gather(
     if d != head.weights.shape[0]:
         raise ValueError(f"feature channels {d} do not match head input {head.weights.shape[0]}")
     dense = features.reshape(h * w, d) @ head.weights + head.bias
-    dense = dense.reshape(h, w, -1)
-    out = np.empty((len(keypoints), head.weights.shape[1]))
-    for row, kp in enumerate(keypoints):
-        if not (0 <= kp.u < w and 0 <= kp.v < h):
-            raise IndexError(f"keypoint ({kp.u}, {kp.v}) out of bounds")
-        out[row] = dense[kp.v, kp.u]
-    return out
+    return _take(dense.reshape(h, w, -1), _keypoint_uv(keypoints), "keypoint")

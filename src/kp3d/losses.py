@@ -42,15 +42,6 @@ class AttentionParams:
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-
-
-@dataclass(frozen=True)
 class LossBatch:
     """Per-keypoint regression data for one batch: predictions tau_pred and
     targets tau_gt are (N, R); scores and ious are length-N in [0, 1]."""
@@ -149,11 +140,6 @@ def attention_loss(batch: LossBatch, weights: np.ndarray):
     value = float(weights @ per_kp) / batch.n
     grad = weights[:, None] * np.sign(residual) / batch.n
     return value, grad
-
-
-def total_loss(l_keypoint: float, l_reg: float, weights: LossWeights = LossWeights()) -> float:
-    """Combined objective: keypoint loss plus lambda times regression loss."""
-    return l_keypoint + weights.lam * l_reg
 
 
 def gradcheck(fn, point: np.ndarray, step: float = 1e-5) -> float:

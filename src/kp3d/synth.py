@@ -141,11 +141,10 @@ def encode_objects(scene: Scene, stats: DecodeStats):
     by_kp = {}
     for box, cls in scene.objects:
         kp, tau = geometry.encode_box(box, cls, scene.calib, stats)
-        if kp in by_kp and by_kp[kp][2].center[2] <= box.center[2]:
-            warnings.warn(f"keypoint collision at {kp}; keeping nearer object")
-            continue
         if kp in by_kp:
             warnings.warn(f"keypoint collision at {kp}; keeping nearer object")
+            if by_kp[kp][2].center[2] <= box.center[2]:
+                continue
         by_kp[kp] = (kp, tau, box, cls)
     entries = sorted(by_kp.values(), key=lambda e: (e[0][1], e[0][0]))
     keypoints = [e[0] for e in entries]

@@ -1,6 +1,7 @@
 """Independent reference implementations used to check the library code:
-voxel-grid volume IoU, naive matrix multiplication, and brute-force
-threshold-enumeration average precision. Deliberately slow and simple.
+voxel-grid volume IoU, naive matrix multiplication, brute-force
+threshold-enumeration average precision and per-pixel top-K local maxima.
+Deliberately slow and simple.
 """
 
 import numpy as np
@@ -85,3 +86,18 @@ def brute_force_ap_r11(tp_scores, fp_scores, n_gt: int) -> float:
     for r in [i / 10 for i in range(11)]:
         total += max((p for rec, p in points if rec >= r - 1e-12), default=0.0)
     return 100.0 * total / 11.0
+
+
+def brute_force_topk(heatmap: np.ndarray, k: int) -> list[tuple[int, int, int, float]]:
+    """(cls, u, v, score) of the k best pixels that are >= every in-grid pixel
+    of their 3x3 same-channel window, by descending score then flat index."""
+    c, h, w = heatmap.shape
+    found = []
+    for cls in range(c):
+        for v in range(h):
+            for u in range(w):
+                window = heatmap[cls, max(v - 1, 0) : v + 2, max(u - 1, 0) : u + 2]
+                if heatmap[cls, v, u] >= window.max():
+                    found.append((-heatmap[cls, v, u], (cls * h + v) * w + u, cls, u, v))
+    found.sort()
+    return [(cls, u, v, float(-neg)) for neg, _, cls, u, v in found[:k]]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kp3d import bench
+from kp3d import bench, litefpn
 from kp3d.bench import BenchConfig
 
 
@@ -66,3 +66,12 @@ def test_csv_and_summary():
 def test_repetitions_minimum_enforced():
     with pytest.raises(ValueError):
         BenchConfig(repetitions=5)
+
+
+def test_gate_checks_library_gather(monkeypatch):
+    def shifted(pyramid, keypoints):
+        return litefpn.gather_fuse(pyramid, keypoints) + 1e-9
+
+    monkeypatch.setattr(bench, "gather_fuse", shifted)
+    with pytest.raises(RuntimeError, match="correctness gate"):
+        bench.time_compare(BenchConfig(repetitions=10))

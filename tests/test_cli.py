@@ -62,6 +62,27 @@ class TestEvalCommand:
             ["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir), "--out", str(out)]
         ) == 3
 
+    def test_score_above_one_exit_3(self, tmp_path, capsys):
+        gt_dir, det_dir = write_fixture(tmp_path)
+        (det_dir / "000000.txt").write_text(GT_LINE + " 1.5\n")
+        assert cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                         "--out", str(tmp_path / "report.json")]) == 3
+        assert "'score'" in capsys.readouterr().err
+
+    def test_zero_dimension_label_exit_3(self, tmp_path, capsys):
+        gt_dir, det_dir = write_fixture(tmp_path)
+        (gt_dir / "000000.txt").write_text(GT_LINE.replace(" 1.60 ", " 0.00 ") + "\n")
+        assert cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                         "--out", str(tmp_path / "report.json")]) == 3
+        assert "'width'" in capsys.readouterr().err
+
+    def test_non_numeric_file_stem_exit_3(self, tmp_path, capsys):
+        gt_dir, det_dir = write_fixture(tmp_path)
+        (det_dir / "abc.txt").write_text(GT_LINE + " 0.95\n")
+        assert cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                         "--out", str(tmp_path / "report.json")]) == 3
+        assert "abc.txt" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_default_flop_ratio(self, tmp_path, capsys):
@@ -83,6 +104,11 @@ class TestBenchCommand:
             ["bench", "--reps", "12", "--no-assert", "--min-speedup", "1e9", "--out", str(out)]
         )
         assert code == 0
+
+    def test_grid_too_small_for_coarsest_level_exits_64(self, tmp_path, capsys):
+        code = cli.main(["bench", "--height", "8", "--reps", "12", "--out", str(tmp_path / "b.csv")])
+        assert code == 64
+        assert ">= 16" in capsys.readouterr().err
 
 
 class TestDemoCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +78,25 @@ def test_gather_order_equivariant():
     a = litefpn.gather_fuse(pyr, kps)
     b = litefpn.gather_fuse(pyr, [kps[i] for i in perm])
     assert np.array_equal(a[perm], b)
+
+
+# (u, v) on a 24 x 16 fine grid: negative indices must not wrap to the far edge
+OUT_OF_BOUNDS = [(-1, 3), (3, -1), (24, 3), (3, 16)]
+
+
+@pytest.mark.parametrize("u, v", OUT_OF_BOUNDS)
+def test_gather_out_of_bounds_raises(u, v):
+    pyr = make_pyramid(np.random.default_rng(8))
+    with pytest.raises(IndexError, match=re.escape(f"({u}, {v})")):
+        litefpn.gather_fuse(pyr, [kp(2, 2), kp(u, v)])
+
+
+@pytest.mark.parametrize("u, v", OUT_OF_BOUNDS)
+def test_dense_out_of_bounds_raises(u, v):
+    rng = np.random.default_rng(9)
+    head = RegressionHead(weights=rng.normal(size=(6, 8)), bias=np.zeros(8))
+    with pytest.raises(IndexError, match=re.escape(f"({u}, {v})")):
+        litefpn.dense_regress_then_gather(rng.normal(size=(16, 24, 6)), head, [kp(2, 2), kp(u, v)])
 
 
 def test_regress_zero_weights_gives_bias():

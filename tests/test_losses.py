@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kp3d import losses
-from kp3d.losses import AttentionParams, FocalParams, LossBatch, LossWeights
+from kp3d.losses import AttentionParams, FocalParams, LossBatch
 
 
 def random_smooth_batch(rng, n=None, r=8):
@@ -192,18 +192,6 @@ class TestAttentionLoss:
                 return losses.attention_loss(LossBatch(p, batch.tau_gt), weights)
 
             assert losses.gradcheck(fn, batch.tau_pred) < 1e-6
-
-
-class TestTotalLoss:
-    def test_weighted_sum(self):
-        assert losses.total_loss(1.0, 2.0, LossWeights(lam=0.5)) == 2.0
-
-    def test_lambda_zero(self):
-        assert losses.total_loss(1.7, 99.0, LossWeights(lam=0.0)) == 1.7
-
-    def test_affine_in_regression_loss(self):
-        vals = [losses.total_loss(1.0, x, LossWeights(lam=2.0)) for x in (0.0, 1.0, 2.0)]
-        assert vals == [1.0, 3.0, 5.0]
 
 
 class TestGradcheck:

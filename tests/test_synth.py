@@ -78,19 +78,22 @@ class TestOraclePyramid:
         assert gt_hm.max() == 0.0
         assert np.isfinite(pyramid.levels[0]).all()
 
-    def test_collision_keeps_nearer_object(self):
+    @pytest.mark.parametrize("far_first", [False, True], ids=["near_first", "far_first"])
+    def test_collision_keeps_nearer_object(self, far_first):
         scene = synth.generate_scene(SceneSpec(seed=4, n_objects=3))
         near, cls = scene.objects[0]
         far = geometry.Box3D(
             (near.center[0], near.center[1], near.center[2] + 0.001), near.dims, near.yaw
         )
-        crowded = synth.Scene(
-            objects=scene.objects + ((far, cls),), calib=scene.calib, spec=scene.spec
-        )
+        objects = scene.objects + ((far, cls),)
+        if far_first:
+            objects = objects[::-1]
+        crowded = synth.Scene(objects=objects, calib=scene.calib, spec=scene.spec)
         with pytest.warns(UserWarning, match="collision"):
             kps, taus, boxes = synth.encode_objects(crowded, MODEL.stats)
         assert len(kps) == 3
         assert near in [b for b, _ in boxes]
+        assert far not in [b for b, _ in boxes]
 
 
 class TestRunPipeline:
