@@ -1,6 +1,6 @@
 """KITTI-protocol evaluation: difficulty stratification, greedy score-ordered
-detection/ground-truth matching by rotated-box IoU, and interpolated average
-precision at 11 or 40 recall points.
+detection/ground-truth matching over one rotated-box IoU matrix per frame, and
+interpolated average precision at 11 or 40 recall points.
 """
 
 from __future__ import annotations
@@ -76,14 +76,6 @@ def difficulty_of(gt: GroundTruth) -> Difficulty:
     return Difficulty.IGNORED
 
 
-def _iou_function(criterion: str):
-    if criterion == "3d":
-        return geometry.iou_3d
-    if criterion == "bev":
-        return geometry.iou_bev
-    raise ValueError(f"criterion must be '3d' or 'bev', got {criterion!r}")
-
-
 def match_frame(
     dets: list[Detection],
     gts: list[GroundTruth],
@@ -97,35 +89,41 @@ def match_frame(
     first); each claims the highest-IoU unmatched GT with IoU >= threshold.
     GTs flagged `ignored` never count as missed, and detections whose best
     match is an ignored GT are dropped rather than counted as false positives.
+    The D x G IoU matrix, ignored GTs included, is computed once up front.
     """
-    iou_fn = _iou_function(criterion)
     if ignored is None:
         ignored = [False] * len(gts)
     if len(ignored) != len(gts):
         raise ValueError("ignored flags must align with gts")
+    iou = geometry.rotated_iou(
+        geometry.box_array([d.box for d in dets])[:, None],
+        geometry.box_array([g.box for g in gts])[None],
+        criterion,
+    )
+    # a detection reaching no GT at the threshold, ignored or not, is an FP
+    hit = (iou >= threshold).any(axis=1).tolist()
 
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     taken = [False] * len(gts)
     result = FrameMatches(n_gt=sum(1 for ig in ignored if not ig))
     for di in order:
-        det = dets[di]
+        score = dets[di].score
+        if not hit[di]:
+            result.fp_scores.append(score)
+            continue
+        row = iou[di].tolist()
         best_j, best_iou = -1, threshold
-        for j, gt in enumerate(gts):
+        for j, v in enumerate(row):
             if taken[j] or ignored[j]:
                 continue
-            iou = iou_fn(det.box, gt.box)
-            if iou > best_iou or (iou == best_iou and best_j < 0 and iou >= threshold):
-                best_j, best_iou = j, iou
+            if v > best_iou or (v == best_iou and best_j < 0):
+                best_j, best_iou = j, v
         if best_j >= 0:
             taken[best_j] = True
-            result.tp_scores.append(det.score)
-            continue
-        # no valid match: drop silently if an ignored GT would have matched
-        hit_ignored = any(
-            ignored[j] and iou_fn(det.box, gt.box) >= threshold for j, gt in enumerate(gts)
-        )
-        if not hit_ignored:
-            result.fp_scores.append(det.score)
+            result.tp_scores.append(score)
+        elif not any(ig and v >= threshold for ig, v in zip(ignored, row)):
+            # no valid match: drop silently if an ignored GT would have matched
+            result.fp_scores.append(score)
     return result
 
 

@@ -1,6 +1,13 @@
 """Oriented 3D boxes in camera coordinates, projection, box encoding/decoding,
 and rotated-box IoU (bird's-eye view and full 3D).
 
+IoU is one batched numpy kernel, `rotated_iou`, over (..., 7) box rows
+(`box_array`): the intersection of two rotated rectangles is the polygon of
+the corners of each inside the other plus their edge-edge crossings, sorted by
+angle and measured with the shoelace formula. Broadcasting gives a detection x
+ground-truth matrix in one call; `iou_3d`, `iou_bev` and
+`bev_intersection_area` are its one-pair forms.
+
 Camera frame follows the KITTI convention: x right, y down, z forward.
 Yaw is the rotation about the vertical (y) axis, stored normalized to (-pi, pi].
 """
@@ -18,6 +25,9 @@ DIM_CLAMP_MIN = 0.1
 DIM_CLAMP_MAX = 40.0
 
 _POLY_EPS = 1e-9
+# edges whose angle has a smaller sine are parallel: rounding alone leaves
+# about 2e-14 on edges that are parallel by construction
+_PARALLEL_SIN = 1e-12
 
 
 def normalize_angle(angle: float) -> float:
@@ -37,6 +47,11 @@ class Box3D:
     yaw: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.center, *self.dims, self.yaw)):
+            raise ValueError(
+                f"box center, dims and yaw must be finite, "
+                f"got {self.center}, {self.dims}, {self.yaw}"
+            )
         h, w, l = self.dims
         if h <= 0 or w <= 0 or l <= 0:
             raise ValueError(f"box dimensions must be positive, got {self.dims}")
@@ -176,6 +191,18 @@ def encode_box(box: Box3D, cls: str, calib: CameraCalib, stats: DecodeStats):
     return (ku, kv), tau
 
 
+def _decode_dim(mean: float, log_ratio: float, clamp: bool) -> float:
+    """mean * exp(log_ratio), clamped to [DIM_CLAMP_MIN, DIM_CLAMP_MAX] on
+    request; an exp overflow clamps to the maximum or is rejected."""
+    try:
+        dim = mean * math.exp(log_ratio)
+    except OverflowError:
+        if not clamp:
+            raise ValueError(f"decoded dimension overflows: log-ratio {log_ratio}") from None
+        return DIM_CLAMP_MAX
+    return min(max(dim, DIM_CLAMP_MIN), DIM_CLAMP_MAX) if clamp else dim
+
+
 def decode_box(
     tau,
     keypoint: tuple[int, int],
@@ -197,78 +224,140 @@ def decode_box(
     v = s * (keypoint[1] + dv)
     x, y, z = backproject(u, v, z, calib)
     mean = stats.dims_for(cls)
-    dims = tuple(m * math.exp(d) for m, d in zip(mean, (dh, dw, dl)))
-    if clamp_dims:
-        dims = tuple(min(max(d, DIM_CLAMP_MIN), DIM_CLAMP_MAX) for d in dims)
+    dims = tuple(_decode_dim(m, d, clamp_dims) for m, d in zip(mean, (dh, dw, dl)))
     alpha = math.atan2(sin_a, cos_a)
     yaw = normalize_angle(alpha + math.atan2(x, z))
     return Box3D((x, y, z), dims, yaw)
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a polygon given as an (n, 2) vertex array."""
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def box_array(boxes) -> np.ndarray:
+    """Stack boxes into an (N, 7) float array of (x, y, z, h, w, l, yaw) rows."""
+    return np.array([(*b.center, *b.dims, b.yaw) for b in boxes], dtype=float).reshape(-1, 7)
 
 
-def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of convex polygon `subject` by convex `clip`.
+# corner offsets (along l, along w) in units of (l, w), counter-clockwise
+_CORNER_SIGNS = np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
 
-    Both polygons must be counter-clockwise. Returns the (possibly empty)
-    intersection polygon.
+
+def _corners(rows: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """(M, 4, 2) counter-clockwise BEV corners (x, z) of (M, 7) rows, relative
+    to per-row origins (M, 2). Same corner order as `Box3D.bev_corners`."""
+    along_l = _CORNER_SIGNS[:, 0] * rows[:, 5:6]
+    along_w = _CORNER_SIGNS[:, 1] * rows[:, 4:5]
+    c, s = np.cos(rows[:, 6:7]), np.sin(rows[:, 6:7])
+    x = (rows[:, 0:1] - origin[:, 0:1]) + along_l * c + along_w * s
+    z = (rows[:, 2:3] - origin[:, 1:2]) - along_l * s + along_w * c
+    return np.stack([x, z], axis=-1)
+
+
+def _edges(poly: np.ndarray) -> np.ndarray:
+    return np.roll(poly, -1, axis=1) - poly
+
+
+def _inside(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """(M, 4) mask of the points (M, 4, 2) that lie in the convex
+    counter-clockwise polygons (M, 4, 2), within _POLY_EPS of an edge."""
+    edge = _edges(poly)[:, None, :, :]
+    rel = points[:, :, None, :] - poly[:, None, :, :]
+    side = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
+    return (side >= -_POLY_EPS).all(axis=2)
+
+
+def _overlap_polygon_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BEV intersection area of aligned (M, 7) row pairs.
+
+    The vertices of the intersection of two convex quadrilaterals are the
+    corners of each that lie inside the other plus the crossings of their 16
+    edge pairs; sorted by angle about their centroid they form a convex
+    polygon whose shoelace area is the overlap.
     """
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            break
-        a = clip[i]
-        b = clip[(i + 1) % n]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        inputs = output
-        output = []
-        sides = [ex * (p[1] - a[1]) - ey * (p[0] - a[0]) for p in inputs]
-        for j, p in enumerate(inputs):
-            q = inputs[(j + 1) % len(inputs)]
-            sp, sq = sides[j], sides[(j + 1) % len(inputs)]
-            inside_p = sp >= -_POLY_EPS
-            inside_q = sq >= -_POLY_EPS
-            if inside_p:
-                output.append(p)
-            if inside_p != inside_q:
-                t = sp / (sp - sq)
-                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return np.array(output) if output else np.empty((0, 2))
+    origin = a[:, [0, 2]]
+    ca, cb = _corners(a, origin), _corners(b, origin)
+    r = _edges(ca)[:, :, None, :]  # edge i of a: ca_i + t r_i
+    s = _edges(cb)[:, None, :, :]  # edge j of b: cb_j + u s_j
+    qp = cb[:, None, :, :] - ca[:, :, None, :]
+    den = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    sign = np.sign(den)
+    tn = sign * (qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0])
+    un = sign * (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0])
+    den = np.abs(den)
+    # edge lengths are l, w, l, w; crossings of parallel edges are masked
+    lengths_a, lengths_b = a[:, [5, 4, 5, 4]], b[:, [5, 4, 5, 4]]
+    parallel = den <= _PARALLEL_SIN * lengths_a[:, :, None] * lengths_b[:, None, :]
+    cross = ~parallel & (tn >= 0) & (tn <= den) & (un >= 0) & (un <= den)
+    t = np.where(cross, tn, 0.0) / np.where(cross, den, 1.0)
+    hits = ca[:, :, None, :] + t[..., None] * r
+
+    m = len(a)
+    points = np.concatenate([ca, cb, hits.reshape(m, 16, 2)], axis=1)
+    valid = np.concatenate([_inside(ca, cb), _inside(cb, ca), cross.reshape(m, 16)], axis=1)
+    count = valid.sum(axis=1)
+    centroid = np.where(valid[..., None], points, 0.0).sum(axis=1) / np.maximum(count, 1)[:, None]
+    rel = points - centroid[:, None, :]
+    angle = np.where(valid, np.arctan2(rel[..., 1], rel[..., 0]), np.inf)
+    order = np.argsort(angle, axis=1)
+    poly = np.take_along_axis(points, order[..., None], axis=1)
+    # slots past the last vertex repeat the first one and add no area
+    pad = np.arange(points.shape[1]) >= count[:, None]
+    poly = np.where(pad[..., None], poly[:, :1, :], poly)
+    x, z = poly[..., 0], poly[..., 1]
+    return 0.5 * np.abs((x * np.roll(z, -1, axis=1) - np.roll(x, -1, axis=1) * z).sum(axis=1))
+
+
+def _bev_overlap(a: np.ndarray, b: np.ndarray, live=True) -> np.ndarray:
+    """BEV intersection area of aligned (M, 7) row pairs. Pairs not `live`, or
+    whose bounding circles in the ground plane do not overlap, are exactly 0.0
+    and skip the polygon step."""
+    reach = 0.5 * (np.hypot(a[:, 4], a[:, 5]) + np.hypot(b[:, 4], b[:, 5]))
+    dx, dz = a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]
+    rows = np.flatnonzero(live & (dx * dx + dz * dz < reach * reach))
+    area = np.zeros(len(a))
+    if rows.size:
+        area[rows] = _overlap_polygon_area(a[rows], b[rows])
+    return area
+
+
+def rotated_iou(a, b, criterion: str = "3d") -> np.ndarray:
+    """IoU of box rows `a` and `b`, (..., 7) arrays of (x, y, z, h, w, l, yaw)
+    broadcast against each other: `a[:, None]` against `b[None]` gives the
+    D x G matrix, two (N, 7) arrays the N aligned pairs.
+
+    `criterion` is "bev" (rotated footprint in the x-z plane) or "3d"
+    (footprint overlap times vertical overlap). A pair with zero union scores
+    1.0 if the rows are equal and 0.0 otherwise.
+    """
+    if criterion not in ("3d", "bev"):
+        raise ValueError(f"criterion must be '3d' or 'bev', got {criterion!r}")
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a.shape[-1:] != (7,):
+        raise ValueError(f"box rows must have 7 columns, got shape {a.shape}")
+    shape = a.shape[:-1]
+    a, b = a.reshape(-1, 7), b.reshape(-1, 7)
+    if criterion == "3d":
+        y_overlap = np.minimum(a[:, 1] + a[:, 3] / 2, b[:, 1] + b[:, 3] / 2) - np.maximum(
+            a[:, 1] - a[:, 3] / 2, b[:, 1] - b[:, 3] / 2
+        )
+        inter = _bev_overlap(a, b, y_overlap > 0) * np.maximum(y_overlap, 0.0)
+        union = a[:, 3] * a[:, 4] * a[:, 5] + b[:, 3] * b[:, 4] * b[:, 5] - inter
+    else:
+        inter = _bev_overlap(a, b)
+        union = a[:, 4] * a[:, 5] + b[:, 4] * b[:, 5] - inter
+    degenerate = union <= 0
+    iou = np.clip(inter / np.where(degenerate, 1.0, union), 0.0, 1.0)
+    iou[degenerate] = (a[degenerate] == b[degenerate]).all(axis=1)
+    return iou.reshape(shape)
 
 
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    return _polygon_area(clip_convex(a.bev_corners(), b.bev_corners()))
-
-
-def _same_box(a: Box3D, b: Box3D) -> bool:
-    return a.center == b.center and a.dims == b.dims and a.yaw == b.yaw
+    """Overlap area of the two box footprints in the x-z plane."""
+    return float(_bev_overlap(box_array([a]), box_array([b]))[0])
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Intersection over union of the rotated box footprints in the x-z plane."""
-    area_a = a.dims[1] * a.dims[2]
-    area_b = b.dims[1] * b.dims[2]
-    inter = bev_intersection_area(a, b)
-    union = area_a + area_b - inter
-    if union <= 0:
-        return 1.0 if _same_box(a, b) else 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return float(rotated_iou(box_array([a]), box_array([b]), "bev")[0])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volumetric IoU: BEV footprint overlap times vertical overlap."""
-    a_lo, a_hi = a.y_extent()
-    b_lo, b_hi = b.y_extent()
-    y_overlap = max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
-    inter = bev_intersection_area(a, b) * y_overlap
-    union = a.volume + b.volume - inter
-    if union <= 0:
-        return 1.0 if _same_box(a, b) else 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return float(rotated_iou(box_array([a]), box_array([b]), "3d")[0])

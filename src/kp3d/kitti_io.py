@@ -61,7 +61,10 @@ class KittiLabel:
             if value <= 0:
                 raise KittiFormatError(f"field {name!r} must be positive, got {value}")
         x, y, z = self.location
-        return Box3D((x, y - h / 2, z), (h, w, l), self.rotation_y)
+        try:
+            return Box3D((x, y - h / 2, z), (h, w, l), self.rotation_y)
+        except ValueError as e:  # a non-finite location, dimension or rotation
+            raise KittiFormatError(str(e)) from None
 
     def to_ground_truth(self, frame: int = 0) -> GroundTruth:
         return GroundTruth(
@@ -177,11 +180,17 @@ def load_label_dir(path: str | Path) -> dict[int, list[KittiLabel]]:
     path = Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"not a directory: {path}")
-    frames = {}
+    frames, names = {}, {}
     for f in sorted(path.glob("*.txt")):
         if not f.stem.isdecimal():
             raise KittiFormatError(f"label file {f.name!r} is not named by a numeric frame id")
-        frames[int(f.stem)] = parse_label_file(f.read_text())
+        frame = int(f.stem)
+        if frame in names:
+            raise KittiFormatError(
+                f"label files {names[frame]!r} and {f.name!r} both name frame {frame}"
+            )
+        names[frame] = f.name
+        frames[frame] = parse_label_file(f.read_text())
     return frames
 
 

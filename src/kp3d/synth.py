@@ -197,9 +197,11 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
     pred_hm = gt_hm.copy()
     if model.feature_noise == 0 and model.score_b == 0:
         return gt_hm, pred_hm, pyramid  # nothing degrades the scores
-    for kp, tau in zip(keypoints, taus):
-        emb = litefpn.gather_fuse(pyramid, [Keypoint(cls=0, u=kp[0], v=kp[1], score=1.0)])
-        err = float(np.abs(litefpn.regress(emb, model.head)[0] - tau).sum())
+    kp_objs = [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in keypoints]
+    emb = litefpn.gather_fuse(pyramid, kp_objs)
+    # regress row by row: a batched matmul may round differently
+    for row, kp, tau in zip(emb, keypoints, taus):
+        err = float(np.abs(litefpn.regress(row[None], model.head)[0] - tau).sum())
         score = 1.0 - model.score_a * err + model.score_b * rng.normal()
         pred_hm[0, kp[1], kp[0]] = min(max(score, 0.0), 1.0)
     return gt_hm, pred_hm, pyramid
@@ -307,19 +309,23 @@ def toy_train(
         w = (sing[:, None]) * (vt @ np.concatenate([init.weights, init.bias[None, :]], axis=0))
     else:
         w = np.zeros((sing.size, R_TUPLE))
+    gt_rows = geometry.box_array(gt_boxes)
     trace = []
     for _ in range(epochs):
         pred = u_mat @ w
         if loss == "attention":
-            ious = np.empty(n)
+            decoded, rows = [], []
             for i in range(n):
                 try:
                     box = geometry.decode_box(
                         pred[i], kps[i], "Car", calib, model.stats, clamp_dims=True
                     )
-                    ious[i] = geometry.iou_3d(box, gt_boxes[i])
                 except ValueError:
-                    ious[i] = 0.0
+                    continue  # an undecodable prediction keeps IoU 0
+                decoded.append(box)
+                rows.append(i)
+            ious = np.zeros(n)
+            ious[rows] = geometry.rotated_iou(geometry.box_array(decoded), gt_rows[rows], "3d")
             batch = losses.LossBatch(pred, targets, scores=scores, ious=ious)
             weights = losses.attention_weights(batch, attention_params)
         else:

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the library code:
-voxel-grid volume IoU, naive matrix multiplication, brute-force
-threshold-enumeration average precision and per-pixel top-K local maxima.
-Deliberately slow and simple.
+voxel-grid volume IoU, scalar Sutherland-Hodgman polygon-clipping IoU, naive
+matrix multiplication, brute-force threshold-enumeration average precision and
+per-pixel top-K local maxima. Deliberately slow and simple.
 """
 
 import numpy as np
@@ -59,6 +59,58 @@ def sample_iou_bev(a: Box3D, b: Box3D, resolution: int = 400) -> float:
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a polygon given as an (n, 2) vertex array."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def clip_convex(subject: np.ndarray, clip: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+    """Sutherland-Hodgman clip of convex polygon `subject` by convex `clip`.
+
+    Both polygons must be counter-clockwise. Returns the (possibly empty)
+    intersection polygon.
+    """
+    output = [tuple(p) for p in subject]
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        inputs = output
+        output = []
+        sides = [ex * (p[1] - a[1]) - ey * (p[0] - a[0]) for p in inputs]
+        for j, p in enumerate(inputs):
+            q = inputs[(j + 1) % len(inputs)]
+            sp, sq = sides[j], sides[(j + 1) % len(inputs)]
+            inside_p = sp >= -eps
+            inside_q = sq >= -eps
+            if inside_p:
+                output.append(p)
+            if inside_p != inside_q:
+                t = sp / (sp - sq)
+                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def clip_iou(a: Box3D, b: Box3D, criterion: str = "3d") -> float:
+    """Rotated IoU of two boxes, one pair at a time, by polygon clipping."""
+    inter = polygon_area(clip_convex(a.bev_corners(), b.bev_corners()))
+    if criterion == "3d":
+        (a_lo, a_hi), (b_lo, b_hi) = a.y_extent(), b.y_extent()
+        inter *= max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
+        union = a.volume + b.volume - inter
+    else:
+        union = a.dims[1] * a.dims[2] + b.dims[1] * b.dims[2] - inter
+    if union <= 0:
+        return 1.0 if (a.center, a.dims, a.yaw) == (b.center, b.dims, b.yaw) else 0.0
+    return min(max(inter / union, 0.0), 1.0)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

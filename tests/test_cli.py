@@ -83,6 +83,14 @@ class TestEvalCommand:
                          "--out", str(tmp_path / "report.json")]) == 3
         assert "abc.txt" in capsys.readouterr().err
 
+    def test_duplicate_frame_id_exit_3(self, tmp_path, capsys):
+        gt_dir, det_dir = write_fixture(tmp_path)
+        (gt_dir / "0.txt").write_text(GT_LINE + "\n")
+        assert cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                         "--out", str(tmp_path / "report.json")]) == 3
+        err = capsys.readouterr().err
+        assert "0.txt" in err and "000000.txt" in err
+
 
 class TestBenchCommand:
     def test_default_flop_ratio(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ from kp3d import evaluation
 from kp3d.evaluation import Detection, Difficulty, FrameMatches, GroundTruth, difficulty_of
 from kp3d.geometry import Box3D
 
-from oracles import brute_force_ap_r11
+from oracles import brute_force_ap_r11, clip_iou
 
 
 def box(x=0.0, z=10.0, yaw=0.0, dims=(1.5, 1.6, 4.0)):
@@ -74,6 +74,35 @@ class TestMatchFrame:
         b = Box3D((0, 5, 10), (1.5, 1.6, 4.0), 0.0)
         assert evaluation.match_frame([det(a, 0.9)], [gt(b)], "bev", 0.7).tp_scores == [0.9]
         assert evaluation.match_frame([det(a, 0.9)], [gt(b)], "3d", 0.7).tp_scores == []
+
+
+    @pytest.mark.parametrize("criterion, threshold", [("3d", 0.7), ("bev", 0.5), ("3d", 0.25)])
+    def test_matches_per_pair_greedy_oracle(self, criterion, threshold):
+        # the greedy rule over one IoU per (detection, GT) pair, from the clipping oracle
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            gts = [gt(box(rng.uniform(-4, 4), rng.uniform(8, 16), rng.uniform(-3, 3)))
+                   for _ in range(rng.integers(0, 6))]
+            dets = [det(box(rng.uniform(-4, 4), rng.uniform(8, 16), rng.uniform(-3, 3)),
+                        float(rng.choice([0.3, 0.5, 0.9]))) for _ in range(rng.integers(0, 8))]
+            dets += [det(g.box, 0.7) for g in gts[:2]]
+            ignored = [bool(rng.random() < 0.3) for _ in gts]
+            expected = FrameMatches(n_gt=ignored.count(False))
+            taken = [False] * len(gts)
+            for di in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+                ious = [clip_iou(dets[di].box, g.box, criterion) for g in gts]
+                free = [j for j in range(len(gts)) if not taken[j] and not ignored[j]
+                        and ious[j] >= threshold]
+                if free:
+                    taken[max(free, key=lambda j: (ious[j], -j))] = True
+                    expected.tp_scores.append(dets[di].score)
+                elif not any(ig and v >= threshold for ig, v in zip(ignored, ious)):
+                    expected.fp_scores.append(dets[di].score)
+            assert evaluation.match_frame(dets, gts, criterion, threshold, ignored) == expected
+
+    def test_unknown_criterion_rejected(self):
+        with pytest.raises(ValueError, match="criterion"):
+            evaluation.match_frame([], [], "2d", 0.7)
 
 
 class TestAveragePrecision:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kp3d import geometry
 from kp3d.geometry import Box3D, CameraCalib, DecodeStats
 
-from oracles import sample_iou_bev, voxel_iou_3d
+from oracles import clip_iou, sample_iou_bev, voxel_iou_3d
 
 
 @pytest.fixture
@@ -109,6 +110,31 @@ class TestEncodeDecode:
         box = geometry.decode_box(tau, (10, 10), "Car", calib, STATS, clamp_dims=True)
         assert box.dims[0] == geometry.DIM_CLAMP_MAX
 
+    def test_overflowing_dim_clamps_to_max(self, calib):
+        tau = np.array([0.0, 0.5, 0.5, 720.0, 0.0, 0.0, 0.0, 1.0])  # exp(720) overflows
+        box = geometry.decode_box(tau, (10, 10), "Car", calib, STATS, clamp_dims=True)
+        assert box.dims == (geometry.DIM_CLAMP_MAX, *STATS.dims_for("Car")[1:])
+
+    def test_overflowing_dim_rejected_without_clamp(self, calib):
+        tau = np.array([0.0, 0.5, 0.5, 0.0, 0.0, 720.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="overflows"):
+            geometry.decode_box(tau, (10, 10), "Car", calib, STATS)
+
+    def test_largest_finite_exp_decodes_unclamped(self, calib):
+        # exp(709) is finite; the product with the mean length overflows to inf
+        tau = np.array([0.0, 0.5, 0.5, 0.0, 0.0, 709.0, 0.0, 1.0])
+        box = geometry.decode_box(tau, (10, 10), "Car", calib, STATS, clamp_dims=True)
+        assert box.dims[2] == geometry.DIM_CLAMP_MAX
+        with pytest.raises(ValueError, match="finite"):
+            geometry.decode_box(tau, (10, 10), "Car", calib, STATS)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_nan_tau_rejected(self, calib, index):
+        tau = np.array([0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0])
+        tau[index] = math.nan
+        with pytest.raises(ValueError):
+            geometry.decode_box(tau, (10, 10), "Car", calib, STATS, clamp_dims=True)
+
 
 class TestIoU:
     def test_identical(self):
@@ -179,6 +205,14 @@ class TestBoxValidation:
         with pytest.raises(ValueError):
             Box3D((0, 0, 10), (0.0, 1, 1))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("index", range(7))
+    def test_non_finite_rejected(self, bad, index):
+        values = [0.0, 0.5, 10.0, 1.5, 1.6, 3.9, 0.2]
+        values[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Box3D(tuple(values[:3]), tuple(values[3:6]), values[6])
+
     def test_yaw_normalized_at_construction(self):
         assert Box3D((0, 0, 10), (1, 1, 1), 3 * math.pi).yaw == pytest.approx(math.pi)
         assert Box3D((0, 0, 10), (1, 1, 1), -math.pi).yaw == pytest.approx(math.pi)
@@ -186,3 +220,151 @@ class TestBoxValidation:
     def test_calib_bottom_row_checked(self):
         with pytest.raises(ValueError):
             CameraCalib(np.array([[700, 0, 600, 0], [0, 700, 180, 0], [0, 1, 1, 0]], float))
+
+
+def _box(x, y, z, h, w, l, yaw) -> Box3D:
+    return Box3D((x, y, z), (h, w, l), yaw)
+
+
+_BOXES = st.builds(
+    _box,
+    st.floats(-20, 20), st.floats(-2, 2), st.floats(5, 60),
+    st.floats(0.5, 3), st.floats(0.5, 3), st.floats(0.5, 6),
+    st.floats(-math.pi, math.pi),
+)
+
+
+def _shifted(box: Box3D, along: float, across: float, dims=None, yaw_offset=0.0) -> Box3D:
+    """A box moved `along` its heading and `across` it, in the ground plane."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    x, y, z = box.center
+    return Box3D(
+        (x + along * c + across * s, y, z - along * s + across * c),
+        dims if dims is not None else box.dims,
+        box.yaw + yaw_offset,
+    )
+
+
+@st.composite
+def box_pairs(draw):
+    """Pairs of boxes: independent, identical, nested, overlapping along the
+    same long edges, sharing an edge, touching at a corner, disjoint, rotated
+    by 90 degrees about a shared center, or overlapping at random."""
+    a = draw(_BOXES)
+    h, w, l = a.dims
+    kind = draw(st.sampled_from(
+        ["independent", "identical", "nested", "collinear", "edge", "corner", "disjoint",
+         "rot90", "near"]
+    ))
+    if kind == "independent":
+        b = draw(_BOXES)
+    elif kind == "identical":
+        b = a
+    elif kind == "nested":
+        scale = draw(st.floats(0.2, 0.9))
+        b = _shifted(a, 0.0, 0.0, dims=(h * scale, w * scale, l * scale))
+    elif kind == "collinear":
+        b = _shifted(a, draw(st.floats(-l, l)), 0.0, dims=(h, w, l * draw(st.floats(0.1, 1.5))))
+    elif kind == "edge":
+        b = _shifted(a, l, 0.0)
+    elif kind == "corner":
+        b = _shifted(a, l, w)
+    elif kind == "disjoint":
+        b = _shifted(a, 2 * (l + w), draw(st.floats(-5, 5)))
+    elif kind == "rot90":
+        b = _shifted(a, 0.0, 0.0, dims=draw(_BOXES).dims, yaw_offset=math.pi / 2)
+    else:
+        other = draw(_BOXES)
+        along, across = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+        b = _shifted(a, along, across, dims=other.dims, yaw_offset=other.yaw)
+    return a, b
+
+
+def _iou(a: Box3D, b: Box3D, criterion: str) -> float:
+    return geometry.iou_3d(a, b) if criterion == "3d" else geometry.iou_bev(a, b)
+
+
+def _moved(box: Box3D, angle: float, offset) -> Box3D:
+    """The box rotated by `angle` about the camera y axis, then translated."""
+    c, s = math.cos(angle), math.sin(angle)
+    x, y, z = box.center
+    ox, oy, oz = offset
+    return Box3D((x * c + z * s + ox, y + oy, -x * s + z * c + oz), box.dims, box.yaw + angle)
+
+
+@pytest.mark.parametrize("criterion", ["3d", "bev"])
+class TestRotatedIoUProperties:
+    @given(box_pairs())
+    def test_symmetric_and_in_unit_interval(self, criterion, pair):
+        a, b = pair
+        iou_ab, iou_ba = _iou(a, b, criterion), _iou(b, a, criterion)
+        assert 0.0 <= iou_ab <= 1.0
+        assert abs(iou_ab - iou_ba) <= 1e-12
+
+    @given(_BOXES)
+    def test_self_iou_is_one(self, criterion, box):
+        assert _iou(box, box, criterion) == pytest.approx(1.0, abs=1e-12)
+
+    @given(
+        box_pairs(),
+        st.floats(-math.pi, math.pi),
+        st.tuples(st.floats(-10, 10), st.floats(-2, 2), st.floats(-10, 10)),
+    )
+    def test_invariant_under_shared_yaw_rotation_and_translation(
+        self, criterion, pair, angle, offset
+    ):
+        a, b = pair
+        moved = _iou(_moved(a, angle, offset), _moved(b, angle, offset), criterion)
+        assert moved == pytest.approx(_iou(a, b, criterion), abs=1e-9)
+
+    @given(st.lists(box_pairs(), min_size=1, max_size=5))
+    def test_matrix_matches_clipping_oracle(self, criterion, pairs):
+        dets = [a for a, _ in pairs]
+        gts = [b for _, b in pairs] + [dets[0]]
+        matrix = geometry.rotated_iou(
+            geometry.box_array(dets)[:, None], geometry.box_array(gts)[None], criterion
+        )
+        oracle = np.array([[clip_iou(d, g, criterion) for g in gts] for d in dets])
+        assert matrix.shape == (len(dets), len(gts))
+        np.testing.assert_allclose(matrix, oracle, rtol=0, atol=1e-12)
+
+
+class TestRotatedIoUKernel:
+    def test_scalar_forms_are_one_row_calls(self):
+        a = Box3D((0, 0, 10), (1, 2, 4), 0.3)
+        b = Box3D((0.5, 0.2, 10.5), (1.2, 1.8, 3.5), -0.4)
+        rows_ab, rows_ba = geometry.box_array([a, b]), geometry.box_array([b, a])
+        assert isinstance(geometry.iou_3d(a, b), float)
+        assert geometry.rotated_iou(rows_ab, rows_ba, "3d").tolist() == [
+            geometry.iou_3d(a, b), geometry.iou_3d(b, a)
+        ]
+        assert geometry.rotated_iou(rows_ab, rows_ba, "bev").tolist() == [
+            geometry.iou_bev(a, b), geometry.iou_bev(b, a)
+        ]
+        inter = geometry.bev_intersection_area(a, b)
+        assert geometry.iou_bev(a, b) == inter / (2 * 4 + 1.8 * 3.5 - inter)
+
+    def test_far_apart_pairs_are_exactly_zero(self):
+        a = Box3D((0, 0, 10), (1, 2, 4), 0.3)
+        assert geometry.bev_intersection_area(a, Box3D((5, 0, 10), (1, 2, 4), 0.3)) == 0.0
+        assert geometry.iou_3d(a, Box3D((0, 3, 10), (1, 2, 4), 0.3)) == 0.0
+
+    def test_broadcast_shapes(self):
+        rows = geometry.box_array([Box3D((i, 0, 10), (1, 1, 1), 0.0) for i in range(3)])
+        assert geometry.rotated_iou(rows[:, None], rows[None, :2]).shape == (3, 2)
+        assert geometry.rotated_iou(rows, rows, "bev").tolist() == [1.0, 1.0, 1.0]
+        assert geometry.rotated_iou(rows[:0, None], rows[None]).shape == (0, 3)
+        assert geometry.box_array([]).shape == (0, 7)
+
+    def test_zero_union_rule(self):
+        tiny = np.array([0.0, 0.0, 10.0, 1e-200, 1e-200, 1e-200, 0.0])
+        other = tiny + [1e-201, 0, 0, 0, 0, 0, 0]
+        assert geometry.rotated_iou(tiny, tiny, "3d") == 1.0
+        assert geometry.rotated_iou(tiny, other, "3d") == 0.0
+
+    def test_bad_input_rejected(self):
+        rows = np.zeros((2, 7))
+        with pytest.raises(ValueError, match="criterion"):
+            geometry.rotated_iou(rows, rows, "2d")
+        with pytest.raises(ValueError, match="7 columns"):
+            geometry.rotated_iou(np.zeros((2, 6)), np.zeros((2, 6)))

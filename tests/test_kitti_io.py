@@ -56,6 +56,13 @@ class TestBoxConversion:
         assert g.bbox_height == 60.0
         assert g.frame == 7
 
+    @pytest.mark.parametrize("field, value", [(11, "inf"), (9, "nan"), (14, "-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        fields = GT_LINE.split()
+        fields[field] = value
+        with pytest.raises(kitti_io.KittiFormatError, match="finite"):
+            kitti_io.parse_label_line(" ".join(fields)).to_box3d()
+
 
 class TestSerialization:
     def test_round_trip_geometry_precision(self):

@@ -125,6 +125,27 @@ class TestRunPipeline:
             mean_aps.append(sum(aps) / len(aps))
         assert all(b <= a + 1e-9 for a, b in zip(mean_aps, mean_aps[1:]))
 
+    @pytest.mark.parametrize("bad", [720.0, float("nan")])
+    def test_wild_head_output_is_skipped_not_fatal(self, monkeypatch, bad):
+        # an exp overflow clamps the dimension; a NaN decodes to no box at all
+        scene = synth.generate_scene(SceneSpec(seed=3, n_objects=4))
+        exact, _ = synth.run_pipeline(scene, MODEL)
+        regress = litefpn.regress
+
+        def wild(embedding, head):
+            taus = regress(embedding, head)
+            taus[0, 3] = bad
+            return taus
+
+        monkeypatch.setattr(synth.litefpn, "regress", wild)
+        dets, report = synth.run_pipeline(scene, MODEL)
+        if bad == 720.0:
+            assert dets[0].box.dims[0] == geometry.DIM_CLAMP_MAX
+            assert dets[1:] == exact[1:]
+        else:
+            assert dets == exact[1:]
+        assert 0.0 <= report["ap"] <= 100.0
+
     def test_attention_weights_favor_low_iou(self):
         # at fixed scores, lower IoU must receive strictly larger weight
         from kp3d import losses
@@ -171,6 +192,29 @@ class TestToyTrain:
         head_l, trace_l = synth.toy_train(scenes, MODEL, loss="l1", epochs=30)
         assert np.array_equal(head_a.weights, head_l.weights)
         assert trace_a == trace_l
+
+    def test_attention_undecodable_rows_keep_zero_iou(self, monkeypatch):
+        from kp3d import losses
+
+        scenes = scenes_for(range(2))
+        first_kp = synth.training_data(scenes, MODEL)[3][0]
+        decode, weights = geometry.decode_box, losses.attention_weights
+        seen = []
+
+        def failing_decode(tau, keypoint, *args, **kwargs):
+            if keypoint == first_kp:
+                raise ValueError("non-positive decoded depth")
+            return decode(tau, keypoint, *args, **kwargs)
+
+        def recording_weights(batch, params):
+            seen.append(batch.ious.copy())
+            return weights(batch, params)
+
+        monkeypatch.setattr(synth.geometry, "decode_box", failing_decode)
+        monkeypatch.setattr(losses, "attention_weights", recording_weights)
+        synth.toy_train(scenes, MODEL, loss="attention", epochs=2, init=MODEL.head)
+        assert seen[0][0] == 0.0
+        assert seen[0][1:] == pytest.approx(1.0, abs=1e-9)
 
     def test_divergence_guard(self):
         scenes = scenes_for(range(3))
