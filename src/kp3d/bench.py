@@ -18,6 +18,9 @@ import numpy as np
 from .heatmap import Keypoint
 from .litefpn import FeaturePyramid, RegressionHead, dense_regress_then_gather, gather_fuse, regress
 
+_WARMUP = 5  # untimed calls before each timed series
+_SEED = 0  # of the pyramid, head and keypoints
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -27,8 +30,6 @@ class BenchConfig:
     outputs: int = 8  # R
     k: int = 100
     repetitions: int = 30
-    warmup: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.height, self.width, self.channels, self.outputs) < 1 or self.k < 0:
@@ -68,8 +69,8 @@ def _percentiles(samples: list[float]) -> tuple[float, float, float]:
     return float(p10), float(p50), float(p90)
 
 
-def _time_repeated(fn, warmup: int, repetitions: int) -> list[float]:
-    for _ in range(warmup):
+def _time_repeated(fn, repetitions: int) -> list[float]:
+    for _ in range(_WARMUP):
         fn()
     samples = []
     for _ in range(repetitions):
@@ -86,7 +87,7 @@ def time_compare(cfg: BenchConfig = BenchConfig(), assert_speedup: float | None 
     when `assert_speedup` is set, if the measured sparse speedup at the median
     falls below it.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_SEED)
     h4, w4, d = cfg.height // 4, cfg.width // 4, cfg.channels
     if h4 < 4 or w4 < 4:
         raise ValueError("height and width must be >= 16 so keypoints map into every level")
@@ -110,11 +111,10 @@ def time_compare(cfg: BenchConfig = BenchConfig(), assert_speedup: float | None 
 
     keypoints = keypoints[: cfg.k]
     dense_samples = _time_repeated(
-        lambda: dense_regress_then_gather(pyramid.levels[0], fine_head, keypoints),
-        cfg.warmup, cfg.repetitions,
+        lambda: dense_regress_then_gather(pyramid.levels[0], fine_head, keypoints), cfg.repetitions
     )
     sparse_samples = _time_repeated(
-        lambda: regress(gather_fuse(pyramid, keypoints), head), cfg.warmup, cfg.repetitions
+        lambda: regress(gather_fuse(pyramid, keypoints), head), cfg.repetitions
     )
     dense_p = _percentiles(dense_samples)
     sparse_p = _percentiles(sparse_samples)

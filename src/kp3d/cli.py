@@ -1,8 +1,9 @@
 """Command-line interface: evaluation, benchmarking, synthetic demos and
 gradient checks.
 
-Exit codes: 0 ok, 2 missing input, 3 parse error, 4 bench gate failure,
-5 gradcheck failure, 64 usage error.
+Exit codes: 0 ok, 2 missing input (a missing directory or detection file, or
+no ground truth of the evaluated class at the evaluated difficulty), 3 parse
+error, 4 bench gate failure, 5 gradcheck failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", type=int, default=8)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--reps", type=int, default=30)
-    p.add_argument("--no-assert", action="store_true", help="report without the speedup assertion")
-    p.add_argument("--min-speedup", type=float, default=10.0)
+    p.add_argument("--min-speedup", type=float, default=10.0, help="0 reports without the gate")
     p.add_argument("--out", default="bench.csv")
     p.set_defaults(func=cmd_bench)
 
@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--self-test-wrong-sign", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 
@@ -126,15 +125,22 @@ def cmd_eval(args) -> int:
     except kitti_io.KittiFormatError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    report = evaluation.evaluate(
-        det_frames,
-        gt_frames,
-        cls=args.cls,
-        difficulty=evaluation.Difficulty(args.difficulty),
-        criterion=args.criterion,
-        threshold=args.iou,
-        mode=args.mode,
-    )
+    try:
+        report = evaluation.evaluate(
+            det_frames,
+            gt_frames,
+            cls=args.cls,
+            difficulty=evaluation.Difficulty(args.difficulty),
+            criterion=args.criterion,
+            threshold=args.iou,
+            mode=args.mode,
+        )
+    except evaluation.EmptyStratumError:
+        print(
+            f"error: no {args.cls!r} ground truth counts at difficulty {args.difficulty!r}",
+            file=sys.stderr,
+        )
+        return EXIT_MISSING_INPUT
     write_atomic(Path(args.out), json.dumps(report, indent=2) + "\n")
     if args.pr_csv:
         rows = ["recall,precision"] + [f"{r:.6f},{p:.6f}" for r, p in report["pr_curve"]]
@@ -151,9 +157,7 @@ def cmd_bench(args) -> int:
             height=args.height, width=args.width, channels=args.channels,
             outputs=args.outputs, k=args.k, repetitions=args.reps,
         )
-        report = bench.time_compare(
-            cfg, assert_speedup=None if args.no_assert else args.min_speedup
-        )
+        report = bench.time_compare(cfg, assert_speedup=args.min_speedup)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -197,7 +201,7 @@ def cmd_demo(args) -> int:
         gts = [GroundTruth(box=b, cls=c) for b, c in scene.objects]
         write_atomic(
             out_dir / "label_gt" / f"{i:06d}.txt",
-            "".join(kitti_io.serialize_detection(d) + "\n" for d in _as_gt(gts)),
+            "".join(kitti_io.serialize_label(kitti_io.box_label(g.box, g.cls)) + "\n" for g in gts),
         )
         write_atomic(
             out_dir / "label_det" / f"{i:06d}.txt",
@@ -220,27 +224,18 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def _as_gt(gts):
-    from .evaluation import Detection
-
-    return [Detection(box=g.box, cls=g.cls, score=1.0) for g in gts]
-
-
 def cmd_gradcheck(args) -> int:
     from . import losses
 
     rng = np.random.default_rng(args.seed)
-    flip = -1.0 if args.self_test_wrong_sign else 1.0
     print(f"gradcheck: {args.trials} trials, central differences, step {args.step:g}")
     worst = {"focal": 0.0, "attention": 0.0}
-    worst_coord = None
     for trial in range(args.trials):
         gt = np.zeros((1, 8, 8))
         gt[0, rng.integers(8), rng.integers(8)] = 1.0
 
         def focal(p):
-            v, g = losses.focal_loss(p, gt, n=1)
-            return v, flip * g
+            return losses.focal_loss(p, gt, n=1)
 
         err = losses.gradcheck(focal, rng.uniform(0.05, 0.95, size=gt.shape), step=args.step)
         worst["focal"] = max(worst["focal"], err)
@@ -253,9 +248,7 @@ def cmd_gradcheck(args) -> int:
         weights = rng.uniform(0.2, 2.0, size=n)
 
         def attn(p):
-            batch = losses.LossBatch(p, target)
-            v, g = losses.attention_loss(batch, weights)
-            return v, flip * g
+            return losses.attention_loss(losses.LossBatch(p, target), weights)
 
         err = losses.gradcheck(attn, pred, step=args.step)
         worst["attention"] = max(worst["attention"], err)

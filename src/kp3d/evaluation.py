@@ -29,6 +29,11 @@ _DIFFICULTY_LIMITS = [
 ]
 
 
+class EmptyStratumError(ValueError):
+    """No ground truth of the evaluated class counts at the evaluated
+    difficulty, so recall, and with it AP, is undefined."""
+
+
 @dataclass(frozen=True)
 class Detection:
     box: Box3D
@@ -52,9 +57,9 @@ class GroundTruth:
 
     def __post_init__(self):
         if self.bbox_height < 0:
-            raise ValueError("bbox_height must be non-negative")
+            raise ValueError(f"bbox_height must be non-negative, got {self.bbox_height}")
         if not 0.0 <= self.truncation <= 1.0:
-            raise ValueError("truncation must be in [0, 1]")
+            raise ValueError(f"truncation must be in [0, 1], got {self.truncation}")
 
 
 @dataclass
@@ -135,7 +140,7 @@ def pr_curve(frames: list[FrameMatches]) -> list[tuple[float, float]]:
     """
     n_gt = sum(f.n_gt for f in frames)
     if n_gt == 0:
-        raise ValueError("empty stratum")
+        raise EmptyStratumError("empty stratum")
     scored = [(s, True) for f in frames for s in f.tp_scores]
     scored += [(s, False) for f in frames for s in f.fp_scores]
     if not scored:

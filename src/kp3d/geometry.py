@@ -24,6 +24,9 @@ import numpy as np
 DIM_CLAMP_MIN = 0.1
 DIM_CLAMP_MAX = 40.0
 
+# Keypoints live on the 1/4-resolution heatmap grid: pixel u is keypoint u // 4.
+DOWNSAMPLE = 4
+
 _POLY_EPS = 1e-9
 # edges whose angle has a smaller sine are parallel: rounding alone leaves
 # about 2e-14 on edges that are parallel by construction
@@ -134,13 +137,10 @@ class DecodeStats:
     mean_dims: dict[str, tuple[float, float, float]] = field(
         default_factory=lambda: {"Car": (1.63, 1.53, 3.88)}
     )
-    downsample: int = 4
 
     def __post_init__(self):
         if self.depth_std <= 0:
             raise ValueError("depth_std must be positive")
-        if self.downsample < 1 or int(self.downsample) != self.downsample:
-            raise ValueError("downsample must be a positive integer")
         for cls, d in self.mean_dims.items():
             if min(d) <= 0:
                 raise ValueError(f"mean dims for {cls!r} must be positive")
@@ -180,9 +180,8 @@ def encode_box(box: Box3D, cls: str, calib: CameraCalib, stats: DecodeStats):
     if z <= 0:
         raise ValueError("point behind camera")
     u, v = project_to_image(box.center, calib)
-    s = stats.downsample
-    ku, kv = math.floor(u / s), math.floor(v / s)
-    du, dv = u / s - ku, v / s - kv
+    ku, kv = math.floor(u / DOWNSAMPLE), math.floor(v / DOWNSAMPLE)
+    du, dv = u / DOWNSAMPLE - ku, v / DOWNSAMPLE - kv
     dz = (z - stats.depth_mean) / stats.depth_std
     mean = stats.dims_for(cls)
     dh, dw, dl = (math.log(d / m) for d, m in zip(box.dims, mean))
@@ -219,9 +218,8 @@ def decode_box(
     z = stats.depth_mean + dz * stats.depth_std
     if z <= 0:
         raise ValueError("non-positive decoded depth")
-    s = stats.downsample
-    u = s * (keypoint[0] + du)
-    v = s * (keypoint[1] + dv)
+    u = DOWNSAMPLE * (keypoint[0] + du)
+    v = DOWNSAMPLE * (keypoint[1] + dv)
     x, y, z = backproject(u, v, z, calib)
     mean = stats.dims_for(cls)
     dims = tuple(_decode_dim(m, d, clamp_dims) for m, d in zip(mean, (dh, dw, dl)))

@@ -67,14 +67,18 @@ class KittiLabel:
             raise KittiFormatError(str(e)) from None
 
     def to_ground_truth(self, frame: int = 0) -> GroundTruth:
-        return GroundTruth(
-            box=self.to_box3d(),
-            cls=self.type,
-            bbox_height=self.bbox_height,
-            occlusion=self.occluded,
-            truncation=self.truncated,
-            frame=frame,
-        )
+        box = self.to_box3d()
+        try:
+            return GroundTruth(
+                box=box,
+                cls=self.type,
+                bbox_height=self.bbox_height,
+                occlusion=self.occluded,
+                truncation=self.truncated,
+                frame=frame,
+            )
+        except ValueError as e:  # a truncation outside [0, 1] or a negative box height
+            raise KittiFormatError(str(e)) from None
 
     def to_detection(self, frame: int = 0) -> Detection:
         if self.score is None:
@@ -95,6 +99,8 @@ def parse_label_line(line: str, lineno: int | None = None) -> KittiLabel:
             values.append(float(raw))
         except ValueError:
             raise KittiFormatError(f"non-numeric value {raw!r} for field {name!r}{where}")
+    if not values[2].is_integer():  # also rejects inf and nan
+        raise KittiFormatError(f"non-integer value {fields[2]!r} for field 'occluded'{where}")
     return KittiLabel(
         type=values[0],
         truncated=values[1],
@@ -134,28 +140,31 @@ def serialize_label(label: KittiLabel) -> str:
     return " ".join(parts)
 
 
-def serialize_detection(det: Detection, alpha: float | None = None, bbox=None) -> str:
-    """Serialize a Detection in the 16-field KITTI detection format.
+def box_label(box: Box3D, cls: str, score: float | None = None) -> KittiLabel:
+    """The KITTI label of a center-based box: a ground-truth label, or a
+    detection label when `score` is given.
 
-    The 2D bbox is not part of the 3D pipeline; callers may supply one, else a
-    zero box is written. alpha defaults to yaw - atan2(x, z).
+    The 2D bbox is not part of the 3D pipeline and is written as a zero box;
+    alpha is yaw - atan2(x, z).
     """
-    x, cy, z = det.box.center
-    h, w, l = det.box.dims
-    if alpha is None:
-        alpha = det.box.yaw - math.atan2(x, z)
-    label = KittiLabel(
-        type=det.cls,
+    x, cy, z = box.center
+    h, w, l = box.dims
+    return KittiLabel(
+        type=cls,
         truncated=0.0,
         occluded=0,
-        alpha=alpha,
-        bbox=tuple(bbox) if bbox is not None else (0.0, 0.0, 0.0, 0.0),
+        alpha=box.yaw - math.atan2(x, z),
+        bbox=(0.0, 0.0, 0.0, 0.0),
         dimensions=(h, w, l),
         location=(x, cy + h / 2, z),
-        rotation_y=det.box.yaw,
-        score=det.score,
+        rotation_y=box.yaw,
+        score=score,
     )
-    return serialize_label(label)
+
+
+def serialize_detection(det: Detection) -> str:
+    """Serialize a Detection in the 16-field KITTI detection format."""
+    return serialize_label(box_label(det.box, det.cls, det.score))
 
 
 def parse_calib(text: str) -> CameraCalib:

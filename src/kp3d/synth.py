@@ -11,112 +11,102 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import evaluation, geometry, heatmap, litefpn
 from .evaluation import Detection, GroundTruth
-from .geometry import Box3D, CameraCalib, DecodeStats
+from .geometry import DOWNSAMPLE, Box3D, CameraCalib, DecodeStats
 from .heatmap import GaussianSpec, HeatmapShape, Keypoint
 from .litefpn import FeaturePyramid, RegressionHead
 
 R_TUPLE = 8
 _MAX_RESAMPLE = 1000
 
+# The one synthetic camera: a KITTI-like 1280x384 image, f = 700 px, principal
+# point at the image center. Keypoints sit on its 1/4-resolution grid.
+IMAGE_SIZE = (384, 1280)  # (height, width) px
+_H, _W = IMAGE_SIZE
+CALIB = CameraCalib(
+    np.array([[700.0, 0.0, _W / 2, 0.0], [0.0, 700.0, _H / 2, 0.0], [0.0, 0.0, 1.0, 0.0]])
+)
+CALIB.projection.setflags(write=False)  # shared by every scene
+_HEATMAP_SHAPE = HeatmapShape(height=_H // DOWNSAMPLE, width=_W // DOWNSAMPLE, classes=1)
 
-def default_calib(image_size: tuple[int, int] = (384, 1280)) -> CameraCalib:
-    h, w = image_size
-    return CameraCalib(
-        np.array([[700.0, 0.0, w / 2, 0.0], [0.0, 700.0, h / 2, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    )
+# object placement: uniform center ranges (m; camera y is down) and a relative
+# jitter of each dimension around the mean car
+_DEPTH_RANGE = (8.0, 55.0)
+_LATERAL_RANGE = (-18.0, 18.0)
+_HEIGHT_RANGE = (0.5, 1.8)
+_DIMS_JITTER = 0.15
+_STATS = DecodeStats()
 
 
 @dataclass(frozen=True)
 class SceneSpec:
     seed: int = 0
     n_objects: int = 5
-    depth_range: tuple[float, float] = (8.0, 55.0)
-    lateral_range: tuple[float, float] = (-18.0, 18.0)
-    height_range: tuple[float, float] = (0.5, 1.8)  # center y, camera y is down
-    dims_jitter: float = 0.15
-    image_size: tuple[int, int] = (384, 1280)
-    calib: CameraCalib = None
 
     def __post_init__(self):
         if self.n_objects < 0:
             raise ValueError("n_objects must be non-negative")
-        for lo, hi in (self.depth_range, self.lateral_range, self.height_range):
-            if hi < lo:
-                raise ValueError("ranges must be non-empty")
-        if self.calib is None:
-            object.__setattr__(self, "calib", default_calib(self.image_size))
 
 
 @dataclass(frozen=True)
 class Scene:
     objects: tuple[tuple[Box3D, str], ...]
-    calib: CameraCalib
     spec: SceneSpec
+    calib: ClassVar[CameraCalib] = CALIB
+
+
+def _planted_head() -> RegressionHead:
+    """A fixed random head whose fine-level block has full column rank, so the
+    feature construction can always solve for exactness."""
+    rng = np.random.default_rng(7)
+    weights = rng.normal(size=(3 * R_TUPLE, R_TUPLE)) / math.sqrt(R_TUPLE)
+    bias = rng.normal(size=R_TUPLE) * 0.1
+    for a in (weights, bias):
+        a.setflags(write=False)  # one head, shared by every OracleModel
+    return RegressionHead(weights=weights, bias=bias)
 
 
 @dataclass(frozen=True)
 class OracleModel:
-    """Pyramid spec plus the planted readout head.
+    """Feature noise over a fixed pyramid and the planted readout head.
 
     Features are pseudorandom everywhere except the fine-level cell under each
     keypoint, which is solved so gather_fuse followed by `head` reproduces the
     object's encoded parameters exactly at zero feature noise. The predicted
     heatmap degrades keypoint scores with the local regression error
-    (score = clamp(1 - score_a * |tau error|_1 + score_b * noise, 0, 1)).
+    (score = clamp(1 - |tau error|_1, 0, 1)).
     """
 
-    channels: int = R_TUPLE
-    head: RegressionHead = None
-    stats: DecodeStats = field(default_factory=DecodeStats)
     feature_noise: float = 0.0
-    score_a: float = 1.0
-    score_b: float = 0.0
-    head_seed: int = 7
-
-    def __post_init__(self):
-        if self.channels < R_TUPLE:
-            raise ValueError(f"channels must be >= {R_TUPLE} for an exact planted head")
-        if self.head is None:
-            object.__setattr__(self, "head", planted_head(self.channels, seed=self.head_seed))
-        if self.head.weights.shape != (3 * self.channels, R_TUPLE):
-            raise ValueError("head shape inconsistent with channel count")
-
-
-def planted_head(channels: int = R_TUPLE, seed: int = 7) -> RegressionHead:
-    """A fixed random head whose fine-level block has full column rank, so the
-    feature construction can always solve for exactness."""
-    rng = np.random.default_rng(seed)
-    weights = rng.normal(size=(3 * channels, R_TUPLE)) / math.sqrt(channels)
-    return RegressionHead(weights=weights, bias=rng.normal(size=R_TUPLE) * 0.1)
+    head: ClassVar[RegressionHead] = _planted_head()
+    stats: ClassVar[DecodeStats] = _STATS
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
     """Deterministically sample boxes whose projected centers land inside the
     image on distinct quarter-resolution keypoints."""
     rng = np.random.default_rng(spec.seed)
-    stats = DecodeStats()
-    mean = stats.dims_for("Car")
-    h_img, w_img = spec.image_size
+    mean = _STATS.dims_for("Car")
     used = set()
     objects = []
     for _ in range(spec.n_objects):
         for attempt in range(_MAX_RESAMPLE):
-            z = rng.uniform(*spec.depth_range)
-            x = rng.uniform(*spec.lateral_range)
-            y = rng.uniform(*spec.height_range)
-            dims = tuple(m * (1.0 + spec.dims_jitter * rng.uniform(-1, 1)) for m in mean)
+            z = rng.uniform(*_DEPTH_RANGE)
+            x = rng.uniform(*_LATERAL_RANGE)
+            y = rng.uniform(*_HEIGHT_RANGE)
+            dims = tuple(m * (1.0 + _DIMS_JITTER * rng.uniform(-1, 1)) for m in mean)
             yaw = rng.uniform(-math.pi, math.pi)
             box = Box3D((x, y, z), dims, yaw)
-            u, v = geometry.project_to_image(box.center, spec.calib)
-            if not (0 <= u < w_img and 0 <= v < h_img):
+            u, v = geometry.project_to_image(box.center, CALIB)
+            if not (0 <= u < _W and 0 <= v < _H):
                 continue
-            kp = (math.floor(u / 4), math.floor(v / 4))
+            kp = (math.floor(u / DOWNSAMPLE), math.floor(v / DOWNSAMPLE))
             if kp in used:
                 continue
             used.add(kp)
@@ -124,13 +114,13 @@ def generate_scene(spec: SceneSpec) -> Scene:
             break
         else:
             raise RuntimeError("could not place object inside the image after 1000 resamples")
-    return Scene(objects=tuple(objects), calib=spec.calib, spec=spec)
+    return Scene(objects=tuple(objects), spec=spec)
 
 
-def _splat_sigma(box: Box3D, calib: CameraCalib, downsample: int) -> float:
+def _splat_sigma(box: Box3D) -> float:
     """Gaussian stddev from the object's approximate projected size."""
-    h_px = calib.f_v * box.dims[0] / box.center[2] / downsample
-    w_px = calib.f_u * box.dims[1] / box.center[2] / downsample
+    h_px = CALIB.f_v * box.dims[0] / box.center[2] / DOWNSAMPLE
+    w_px = CALIB.f_u * box.dims[1] / box.center[2] / DOWNSAMPLE
     radius = heatmap.gaussian_radius(max(h_px, 1e-3), max(w_px, 1e-3))
     return heatmap.sigma_from_radius(max(radius, 0.0))
 
@@ -140,7 +130,7 @@ def encode_objects(scene: Scene, stats: DecodeStats):
     object wins and a warning is recorded. Returns (keypoints, taus, boxes)."""
     by_kp = {}
     for box, cls in scene.objects:
-        kp, tau = geometry.encode_box(box, cls, scene.calib, stats)
+        kp, tau = geometry.encode_box(box, cls, CALIB, stats)
         if kp in by_kp:
             warnings.warn(f"keypoint collision at {kp}; keeping nearer object")
             if by_kp[kp][2].center[2] <= box.center[2]:
@@ -153,11 +143,6 @@ def encode_objects(scene: Scene, stats: DecodeStats):
     return keypoints, taus, boxes
 
 
-def heatmap_shape(spec: SceneSpec, classes: int = 1) -> HeatmapShape:
-    h, w = spec.image_size
-    return HeatmapShape(height=h // 4, width=w // 4, classes=classes)
-
-
 def oracle_pyramid(scene: Scene, model: OracleModel):
     """Build (gt heatmap, predicted heatmap, feature pyramid) for a scene.
 
@@ -165,10 +150,9 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
     fine-level cell is solved so the planted head reads the object's exact
     encoded parameters; feature noise is then layered on top.
     """
-    spec = scene.spec
-    shape = heatmap_shape(spec)
-    d = model.channels
-    rng = np.random.default_rng(spec.seed + 0x5CE11E)
+    shape = _HEATMAP_SHAPE
+    d = R_TUPLE
+    rng = np.random.default_rng(scene.spec.seed + 0x5CE11E)
     f4 = rng.normal(size=(shape.height, shape.width, d))
     f8 = rng.normal(size=(shape.height // 2, shape.width // 2, d))
     f16 = rng.normal(size=(shape.height // 4, shape.width // 4, d))
@@ -189,21 +173,20 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
     pyramid = FeaturePyramid(levels=(f4, f8, f16))
 
     specs = [
-        GaussianSpec(center=kp, sigma=_splat_sigma(box, scene.calib, 4), cls=0)
+        GaussianSpec(center=kp, sigma=_splat_sigma(box), cls=0)
         for kp, (box, _) in zip(keypoints, boxes)
     ]
     gt_hm = heatmap.encode_heatmap(specs, shape)
 
     pred_hm = gt_hm.copy()
-    if model.feature_noise == 0 and model.score_b == 0:
+    if model.feature_noise == 0:
         return gt_hm, pred_hm, pyramid  # nothing degrades the scores
     kp_objs = [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in keypoints]
     emb = litefpn.gather_fuse(pyramid, kp_objs)
     # regress row by row: a batched matmul may round differently
     for row, kp, tau in zip(emb, keypoints, taus):
         err = float(np.abs(litefpn.regress(row[None], model.head)[0] - tau).sum())
-        score = 1.0 - model.score_a * err + model.score_b * rng.normal()
-        pred_hm[0, kp[1], kp[0]] = min(max(score, 0.0), 1.0)
+        pred_hm[0, kp[1], kp[0]] = min(max(1.0 - err, 0.0), 1.0)
     return gt_hm, pred_hm, pyramid
 
 
@@ -224,7 +207,9 @@ def run_pipeline(
     evaluation report dict).
     """
     head = regress_head if regress_head is not None else model.head
-    _, pred_hm, pyramid = oracle_pyramid(scene, model)
+    # drop the GT heatmap at once: held through top-K, it lifts each scene's
+    # peak heap to where malloc trims and re-faults the pages on every scene
+    pred_hm, pyramid = oracle_pyramid(scene, model)[1:]
     candidates = heatmap.topk(pred_hm, k)
     dets = []
     if candidates:
@@ -232,7 +217,7 @@ def run_pipeline(
         for kp, tau in zip(candidates, taus):
             try:
                 box = geometry.decode_box(
-                    tau, (kp.u, kp.v), "Car", scene.calib, model.stats, clamp_dims=True
+                    tau, (kp.u, kp.v), "Car", CALIB, model.stats, clamp_dims=True
                 )
             except ValueError:
                 continue  # non-positive decoded depth on a background keypoint
@@ -251,7 +236,7 @@ def training_data(scenes: list[Scene], model: OracleModel):
     from every scene, in scene order."""
     embeddings, targets, boxes, kps, scores = [], [], [], [], []
     for scene in scenes:
-        _, pred_hm, pyramid = oracle_pyramid(scene, model)
+        pred_hm, pyramid = oracle_pyramid(scene, model)[1:]
         keypoints, taus, kept = encode_objects(scene, model.stats)
         kp_objs = [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in keypoints]
         embeddings.append(litefpn.gather_fuse(pyramid, kp_objs))
@@ -277,7 +262,6 @@ def toy_train(
     epochs: int = 200,
     step: float = 1.0,
     attention_params=None,
-    calib: CameraCalib | None = None,
     init: RegressionHead | None = None,
 ):
     """Fit a fresh regression head by full-batch subgradient descent.
@@ -297,7 +281,6 @@ def toy_train(
     if attention_params is None:
         attention_params = losses.AttentionParams()
     emb, targets, gt_boxes, kps, scores = training_data(scenes, model)
-    calib = calib if calib is not None else scenes[0].calib
     n, d3 = emb.shape
     design = np.concatenate([emb, np.ones((n, 1))], axis=1)  # bias column last
     # descend in SVD-whitened coordinates: pred = U w_white, a fixed linear
@@ -318,7 +301,7 @@ def toy_train(
             for i in range(n):
                 try:
                     box = geometry.decode_box(
-                        pred[i], kps[i], "Car", calib, model.stats, clamp_dims=True
+                        pred[i], kps[i], "Car", CALIB, model.stats, clamp_dims=True
                     )
                 except ValueError:
                     continue  # an undecodable prediction keeps IoU 0

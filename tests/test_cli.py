@@ -91,25 +91,76 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "0.txt" in err and "000000.txt" in err
 
+    @pytest.mark.parametrize(
+        "where, field, value, named",
+        [
+            ("gt", 2, "inf", "'occluded'"),
+            ("gt", 2, "nan", "'occluded'"),
+            ("gt", 2, "1e400", "'occluded'"),
+            ("gt", 2, "2.7", "'occluded'"),
+            ("det", 2, "inf", "'occluded'"),
+            ("gt", 1, "5.0", "truncation"),
+        ],
+    )
+    def test_bad_occlusion_or_truncation_exit_3(self, tmp_path, capsys, where, field, value, named):
+        dirs = dict(zip(("gt", "det"), write_fixture(tmp_path)))
+        fields = GT_LINE.split()
+        fields[field] = value
+        score = " 0.95" if where == "det" else ""
+        (dirs[where] / "000000.txt").write_text(" ".join(fields) + score + "\n")
+        assert cli.main(["eval", "--gt-dir", str(dirs["gt"]), "--det-dir", str(dirs["det"]),
+                         "--out", str(tmp_path / "report.json")]) == 3
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "gt_text, difficulty",
+        [
+            ("DontCare -1 -1 -10 500.0 150.0 520.0 160.0 -1 -1 -1 -1000 -1000 -1000 -10\n", "hard"),
+            (GT_LINE.replace("Car 0.00 0 ", "Car 0.00 2 ") + "\n", "moderate"),
+        ],
+        ids=["only_dontcare", "all_ignored"],
+    )
+    def test_empty_stratum_exit_2(self, tmp_path, capsys, gt_text, difficulty):
+        gt_dir, det_dir = write_fixture(tmp_path)
+        (gt_dir / "000000.txt").write_text(gt_text)
+        out = tmp_path / "report.json"
+        assert cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                         "--difficulty", difficulty, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'Car'" in err and repr(difficulty) in err
+        assert not out.exists()
+
+    def test_demo_labels_empty_stratum_exit_2(self, tmp_path, capsys):
+        # the demo writes zero-height 2D boxes, so every GT is ignored
+        demo = tmp_path / "demo"
+        cli.main(["demo", "--n-scenes", "1", "--n-objects", "2", "--epochs", "5",
+                  "--out-dir", str(demo)])
+        assert cli.main(["eval", "--gt-dir", str(demo / "label_gt"),
+                         "--det-dir", str(demo / "label_det"),
+                         "--out", str(tmp_path / "report.json")]) == 2
+        assert "'Car'" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_default_flop_ratio(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
-        code = cli.main(["bench", "--reps", "12", "--no-assert", "--out", str(out)])
+        code = cli.main(["bench", "--reps", "12", "--min-speedup", "0", "--out", str(out)])
         assert code == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[7]) == 102.4
 
     def test_k_zero_row(self, tmp_path):
         out = tmp_path / "bench.csv"
-        code = cli.main(["bench", "--reps", "12", "--k", "0", "--no-assert", "--out", str(out)])
+        code = cli.main(
+            ["bench", "--reps", "12", "--k", "0", "--min-speedup", "0", "--out", str(out)]
+        )
         assert code == 0
         assert out.read_text().splitlines()[1].split(",")[6] == "0"
 
     def test_no_assert_never_fails_on_slow_measurement(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = cli.main(
-            ["bench", "--reps", "12", "--no-assert", "--min-speedup", "1e9", "--out", str(out)]
+            ["bench", "--reps", "12", "--min-speedup", "0", "--out", str(out)]
         )
         assert code == 0
 
@@ -131,6 +182,15 @@ class TestDemoCommand:
         assert report["mean_ap"] == 100.0
         assert (out_dir / "bev" / "000000.svg").exists()
         assert (out_dir / "label_det" / "000001.txt").exists()
+
+    def test_gt_labels_are_15_field_ground_truth_lines(self, tmp_path):
+        out_dir = tmp_path / "demo"
+        cli.main(["demo", "--n-scenes", "1", "--n-objects", "3", "--epochs", "5",
+                  "--out-dir", str(out_dir)])
+        lines = (out_dir / "label_gt" / "000000.txt").read_text().splitlines()
+        assert len(lines) == 3
+        assert all(len(line.split()) == 15 for line in lines)
+        assert all(label.score is None for label in kitti_io.parse_label_file("\n".join(lines)))
 
     def test_same_seed_byte_identical_svg(self, tmp_path):
         svgs = []
@@ -160,8 +220,17 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck", "--trials", "5"]) == 0
         assert "passed" in capsys.readouterr().out
 
-    def test_detects_injected_wrong_sign(self):
-        assert cli.main(["gradcheck", "--trials", "2", "--self-test-wrong-sign"]) == 5
+    def test_detects_injected_wrong_sign(self, monkeypatch):
+        from kp3d import losses
+
+        focal = losses.focal_loss
+
+        def wrong_sign(*args, **kwargs):
+            value, grad = focal(*args, **kwargs)
+            return value, -grad
+
+        monkeypatch.setattr(losses, "focal_loss", wrong_sign)
+        assert cli.main(["gradcheck", "--trials", "2"]) == 5
 
     def test_step_echoed(self, capsys):
         cli.main(["gradcheck", "--trials", "1", "--step", "1e-5"])

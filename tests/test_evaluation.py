@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kp3d import evaluation
 from kp3d.evaluation import Detection, Difficulty, FrameMatches, GroundTruth, difficulty_of
@@ -194,3 +195,51 @@ class TestEvaluate:
         dets = {0: [det(box(), 0.95), det(box(x=8.0), 0.9)]}
         report = evaluation.evaluate(dets, gts, difficulty=Difficulty.EASY)
         assert report["ap"] == 100.0  # hard GT ignored, its detection absorbed
+
+
+# GT boxes on a coarse x grid (no two overlap) and detections near grid points,
+# so a frame mixes hits, misses, ties and ignored GTs
+_GRID = [-16.0, -8.0, 0.0, 8.0, 16.0]
+
+
+@st.composite
+def _frame(draw):
+    gts = [
+        gt(box(x=x), bbox_height=draw(st.sampled_from([10.0, 30.0, 50.0])))
+        for x in draw(st.lists(st.sampled_from(_GRID), max_size=4, unique=True))
+    ]
+    dets = [
+        det(box(x=x + draw(st.floats(-1.0, 1.0))), draw(st.sampled_from([0.2, 0.5, 0.9])))
+        for x in draw(st.lists(st.sampled_from(_GRID), max_size=5))
+    ]
+    return dets, gts
+
+
+def _ap(dets, gts):
+    try:
+        report = evaluation.evaluate(
+            dets, gts, difficulty=Difficulty.MODERATE, criterion="bev", threshold=0.7, mode="r40"
+        )
+    except evaluation.EmptyStratumError:
+        return None
+    return report["ap"], report["pr_curve"]
+
+
+@given(
+    st.lists(_frame(), min_size=1, max_size=5).flatmap(
+        lambda frames: st.tuples(
+            st.just(frames),
+            st.lists(
+                st.integers(0, 999_999), min_size=len(frames), max_size=len(frames), unique=True
+            ),
+            st.permutations(range(len(frames))),
+        )
+    )
+)
+def test_ap_independent_of_frame_id_order(case):
+    frames, ids, perm = case
+    as_given = _ap({ids[i]: d for i, (d, _) in enumerate(frames)},
+                   {ids[i]: g for i, (_, g) in enumerate(frames)})
+    permuted = _ap({ids[perm[i]]: d for i, (d, _) in enumerate(frames)},
+                   {ids[perm[i]]: g for i, (_, g) in enumerate(frames)})
+    assert as_given == permuted

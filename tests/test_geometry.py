@@ -234,6 +234,23 @@ _BOXES = st.builds(
 )
 
 
+# a KITTI P2 matrix, whose last column shifts the camera center
+_KITTI_P2 = CameraCalib(np.array([
+    [721.5377, 0.0, 609.5593, 44.85728],
+    [0.0, 721.5377, 172.854, 0.2163791],
+    [0.0, 0.0, 1.0, 0.002745884],
+]))
+
+
+@given(_BOXES)
+def test_encode_decode_round_trip_property(box):
+    kp, tau = geometry.encode_box(box, "Car", _KITTI_P2, STATS)
+    out = geometry.decode_box(tau, kp, "Car", _KITTI_P2, STATS)
+    assert out.center == pytest.approx(box.center, abs=1e-6)
+    assert out.dims == pytest.approx(box.dims, abs=1e-6)
+    assert abs(geometry.normalize_angle(out.yaw - box.yaw)) <= 1e-6
+
+
 def _shifted(box: Box3D, along: float, across: float, dims=None, yaw_offset=0.0) -> Box3D:
     """A box moved `along` its heading and `across` it, in the ground plane."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)

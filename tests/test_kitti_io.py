@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kp3d import kitti_io
 from kp3d.evaluation import Detection
@@ -7,6 +8,12 @@ from kp3d.geometry import Box3D
 from kp3d.kitti_io import KittiFormatError
 
 GT_LINE = "Car 0.00 0 -1.57 100.0 120.0 200.0 180.0 1.50 1.60 3.80 -2.0 1.7 30.0 -1.64"
+
+
+def _line(field: int, value: str, score: str = "") -> str:
+    fields = GT_LINE.split()
+    fields[field] = value
+    return " ".join(fields) + score
 
 
 class TestParseLabelLine:
@@ -42,6 +49,40 @@ class TestParseLabelLine:
         assert label.dimensions == (-1.0, -1.0, -1.0)
         assert label.location == (-1000.0, -1000.0, -1000.0)
 
+    def test_integral_float_occlusion_accepted(self):
+        assert kitti_io.parse_label_line(_line(2, "2.0")).occluded == 2
+
+
+# field values a label file may hold: valid numbers, sentinels, overflow,
+# non-finite and non-numeric text
+_FIELD_VALUES = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "2.7", "5.0", "0", "1", "-1", "-10", "x"]),
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+)
+
+
+@given(
+    st.sampled_from(["Car", "DontCare", "Van"]),
+    st.lists(_FIELD_VALUES, min_size=14, max_size=15),
+)
+@example("Car", _line(2, "inf").split()[1:])
+@example("Car", _line(2, "nan").split()[1:])
+@example("Car", _line(2, "1e400").split()[1:])
+@example("Car", _line(2, "2.7").split()[1:])
+@example("Car", _line(1, "5.0").split()[1:])
+@example("Car", _line(1, "5.0", " 0.5").split()[1:])
+def test_fuzzed_lines_raise_only_format_errors(cls, values):
+    try:
+        label = kitti_io.parse_label_line(" ".join([cls, *values]))
+    except KittiFormatError:
+        return
+    for convert in (label.to_ground_truth, label.to_detection):
+        try:
+            convert()
+        except KittiFormatError:
+            pass
+
 
 class TestBoxConversion:
     def test_bottom_center_to_box_center(self):
@@ -50,6 +91,13 @@ class TestBoxConversion:
         # camera y is down: geometric center is h/2 above the bottom-center
         assert box.center == (-2.0, 1.7 - 0.75, 30.0)
         assert box.dims == (1.50, 1.60, 3.80)
+
+    @pytest.mark.parametrize("field, value", [(1, "5.0"), (1, "-0.1"), (7, "50.0")])
+    def test_ground_truth_field_out_of_range_rejected(self, field, value):
+        # truncation outside [0, 1]; a bbox bottom above its top
+        label = kitti_io.parse_label_line(_line(field, value))
+        with pytest.raises(KittiFormatError):
+            label.to_ground_truth()
 
     def test_ground_truth_carries_difficulty_inputs(self):
         g = kitti_io.parse_label_line(GT_LINE).to_ground_truth(frame=7)
@@ -82,6 +130,14 @@ class TestSerialization:
     def test_class_name_verbatim(self):
         det = Detection(box=Box3D((0, 0, 10), (1, 1, 1)), cls="Cyclist", score=0.5)
         assert kitti_io.serialize_detection(det).startswith("Cyclist ")
+
+    def test_box_label_without_score_is_ground_truth(self):
+        box = Box3D((-2.0, 0.95, 30.0), (1.5, 1.6, 3.8), -1.64)
+        line = kitti_io.serialize_label(kitti_io.box_label(box, "Car"))
+        assert len(line.split()) == 15
+        back = kitti_io.parse_label_line(line)
+        assert back.score is None
+        assert back.to_ground_truth().box.center == pytest.approx(box.center, abs=0.005)
 
     def test_parse_serialize_parse_idempotent(self):
         label = kitti_io.parse_label_line(GT_LINE + " 0.95")

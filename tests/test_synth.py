@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,18 @@ class TestGenerateScene:
     def test_projected_centers_inside_image(self):
         for seed in range(200):
             scene = synth.generate_scene(SceneSpec(seed=seed, n_objects=6))
-            h, w = scene.spec.image_size
+            h, w = synth.IMAGE_SIZE
             for box, _ in scene.objects:
                 u, v = geometry.project_to_image(box.center, scene.calib)
                 assert 0 <= u < w and 0 <= v < h
+
+    def test_one_camera_and_only_seed_and_count_settable(self):
+        scene = synth.generate_scene(SceneSpec(seed=1, n_objects=2))
+        assert scene.calib is synth.CALIB
+        assert [f.name for f in dataclasses.fields(SceneSpec)] == ["seed", "n_objects"]
+        assert [f.name for f in dataclasses.fields(OracleModel)] == ["feature_noise"]
+        with pytest.raises(ValueError, match="non-negative"):
+            SceneSpec(n_objects=-1)
 
     def test_distinct_quarter_grid_keypoints(self):
         scene = synth.generate_scene(SceneSpec(seed=1, n_objects=8))
@@ -88,7 +98,7 @@ class TestOraclePyramid:
         objects = scene.objects + ((far, cls),)
         if far_first:
             objects = objects[::-1]
-        crowded = synth.Scene(objects=objects, calib=scene.calib, spec=scene.spec)
+        crowded = synth.Scene(objects=objects, spec=scene.spec)
         with pytest.warns(UserWarning, match="collision"):
             kps, taus, boxes = synth.encode_objects(crowded, MODEL.stats)
         assert len(kps) == 3
