@@ -1,6 +1,6 @@
 """KITTI-protocol evaluation: difficulty stratification, greedy score-ordered
 detection/ground-truth matching over one rotated-box IoU matrix per frame, and
-interpolated average precision at 11 or 40 recall points.
+interpolated average precision at 11 or 40 recall points over a cumulative PR curve.
 """
 
 from __future__ import annotations
@@ -135,28 +135,20 @@ def match_frame(
 def pr_curve(frames: list[FrameMatches]) -> list[tuple[float, float]]:
     """Exact precision/recall points, one per distinct detection score.
 
-    Scores sweep from high to low; every distinct score is a threshold, so the
-    curve is exact rather than subsampled.
+    Scores sweep from high to low, counting TPs cumulatively; every distinct
+    score is a threshold, so the curve is exact rather than subsampled.
     """
     n_gt = sum(f.n_gt for f in frames)
     if n_gt == 0:
         raise EmptyStratumError("empty stratum")
-    scored = [(s, True) for f in frames for s in f.tp_scores]
-    scored += [(s, False) for f in frames for s in f.fp_scores]
-    if not scored:
-        return []
-    scored.sort(key=lambda x: -x[0])
-    points = []
-    tp = fp = 0
-    for i, (score, is_tp) in enumerate(scored):
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        if i + 1 < len(scored) and scored[i + 1][0] == score:
-            continue  # emit one point per distinct score threshold
-        points.append((tp / n_gt, tp / (tp + fp)))
-    return points
+    tp_scores = [s for f in frames for s in f.tp_scores]
+    scores = np.array(tp_scores + [s for f in frames for s in f.fp_scores], dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    tp = np.cumsum(order < len(tp_scores))
+    # a point at the last detection of each score; scores are never below 0
+    last = np.diff(scores[order], append=-1.0) != 0.0
+    tp, seen = tp[last], np.flatnonzero(last) + 1
+    return list(zip((tp / n_gt).tolist(), (tp / seen).tolist()))
 
 
 def average_precision(frames: list[FrameMatches], mode: str = "r11") -> float:
@@ -169,10 +161,13 @@ def average_precision(frames: list[FrameMatches], mode: str = "r11") -> float:
         recalls = np.arange(1, 41) / 40.0
     else:
         raise ValueError(f"mode must be 'r11' or 'r40', got {mode!r}")
-    total = 0.0
-    for r in recalls:
-        total += max((p for rec, p in points if rec >= r - 1e-12), default=0.0)
-    return 100.0 * total / len(recalls)
+    recall, precision = np.array(points, dtype=float).reshape(-1, 2).T
+    # recall never falls along the curve, so p(r) is the best precision from
+    # the first point at r - 1e-12 on, and 0.0 past the last point
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    p_at = best[np.searchsorted(recall, recalls - 1e-12)]
+    # a running sum, value after value: np.sum adds pairwise
+    return 100.0 * float(np.cumsum(p_at)[-1]) / len(recalls)
 
 
 def evaluate(
@@ -185,18 +180,14 @@ def evaluate(
     mode: str = "r11",
 ) -> dict:
     """Full evaluation over frames; returns the report as a plain dict."""
-    level_rank = {Difficulty.EASY: 0, Difficulty.MODERATE: 1, Difficulty.HARD: 2}
     if difficulty is Difficulty.IGNORED:
         raise ValueError("cannot evaluate the ignored stratum")
+    rank = {level: i for i, level in enumerate(Difficulty)}  # IGNORED ranks last
     frames = []
     for frame_id in sorted(gt_frames):
         gts = [g for g in gt_frames[frame_id] if g.cls == cls]
         dets = [d for d in det_frames.get(frame_id, []) if d.cls == cls]
-        ignored = [
-            difficulty_of(g) is Difficulty.IGNORED
-            or level_rank[difficulty_of(g)] > level_rank[difficulty]
-            for g in gts
-        ]
+        ignored = [rank[difficulty_of(g)] > rank[difficulty] for g in gts]
         frames.append(match_frame(dets, gts, criterion, threshold, ignored))
     ap = average_precision(frames, mode)
     return {

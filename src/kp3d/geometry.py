@@ -1,7 +1,9 @@
 """Oriented 3D boxes in camera coordinates, projection, box encoding/decoding,
 and rotated-box IoU (bird's-eye view and full 3D).
 
-IoU is one batched numpy kernel, `rotated_iou`, over (..., 7) box rows
+`decode_rows` decodes K regression rows into (K, 7) box rows and a mask of the
+usable ones, always clamping dimensions; `decode_box` is its one-row form. IoU
+is one batched numpy kernel, `rotated_iou`, over (..., 7) box rows
 (`box_array`): the intersection of two rotated rectangles is the polygon of
 the corners of each inside the other plus their edge-edge crossings, sorted by
 angle and measured with the shoelace formula. Broadcasting gives a detection x
@@ -190,16 +192,34 @@ def encode_box(box: Box3D, cls: str, calib: CameraCalib, stats: DecodeStats):
     return (ku, kv), tau
 
 
-def _decode_dim(mean: float, log_ratio: float, clamp: bool) -> float:
-    """mean * exp(log_ratio), clamped to [DIM_CLAMP_MIN, DIM_CLAMP_MAX] on
-    request; an exp overflow clamps to the maximum or is rejected."""
-    try:
-        dim = mean * math.exp(log_ratio)
-    except OverflowError:
-        if not clamp:
-            raise ValueError(f"decoded dimension overflows: log-ratio {log_ratio}") from None
-        return DIM_CLAMP_MAX
-    return min(max(dim, DIM_CLAMP_MIN), DIM_CLAMP_MAX) if clamp else dim
+# math's exp and atan2, element by element: numpy's differ in the last bit
+_exp = np.frompyfunc(math.exp, 1, 1)
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def decode_rows(taus, uv, cls: str, calib: CameraCalib, stats: DecodeStats):
+    """Decode (K, 8) regression rows at (K, 2) 1/4-grid keypoints (u, v).
+
+    Returns (rows, ok): (K, 7) box rows (x, y, z, h, w, l, yaw) as `box_array`
+    lays them out, and the (K,) mask of usable rows: not those with a depth <= 0
+    or any non-finite value. Dimensions are clamped to [DIM_CLAMP_MIN,
+    DIM_CLAMP_MAX]; an exp overflow clamps to the maximum."""
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 2 or taus.shape[1] != 8:
+        raise ValueError(f"expected (K, 8) regression rows, got shape {taus.shape}")
+    uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+    dz, du, dv, _, _, _, sin_a, cos_a = taus.T
+    with np.errstate(all="ignore"):
+        z = stats.depth_mean + dz * stats.depth_std
+        x, y, z = backproject(DOWNSAMPLE * (uv[:, 0] + du), DOWNSAMPLE * (uv[:, 1] + dv), z, calib)
+        # exp overflows past 709.78, and any log-ratio past 709 clamps to the maximum
+        dims = np.array(stats.dims_for(cls)) * _exp(np.minimum(taus[:, 3:6], 709.0)).astype(float)
+        dims = np.clip(dims, DIM_CLAMP_MIN, DIM_CLAMP_MAX)
+        # normalize_angle, step by step over the array
+        yaw = np.fmod((_atan2(sin_a, cos_a) + _atan2(x, z)).astype(float) + math.pi, 2.0 * math.pi)
+        yaw = np.where(yaw <= 0.0, yaw + 2.0 * math.pi, yaw) - math.pi
+        rows = np.column_stack([x, y, z, dims, yaw])
+    return rows, (z > 0) & np.isfinite(rows).all(axis=1)
 
 
 def decode_box(
@@ -208,24 +228,20 @@ def decode_box(
     cls: str,
     calib: CameraCalib,
     stats: DecodeStats,
-    clamp_dims: bool = False,
+    clamp_dims: bool = True,
 ) -> Box3D:
-    """Decode an 8-tuple of regression values at a 1/4-grid keypoint to a Box3D."""
+    """Decode an 8-tuple of regression values at a 1/4-grid keypoint to a Box3D,
+    as the one-row form of `decode_rows`: a row it rejects raises ValueError."""
+    if not clamp_dims:
+        raise ValueError("decoded dimensions are always clamped; clamp_dims=False is not supported")
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (8,):
         raise ValueError(f"expected an 8-tuple of regression values, got shape {tau.shape}")
-    dz, du, dv, dh, dw, dl, sin_a, cos_a = tau
-    z = stats.depth_mean + dz * stats.depth_std
+    rows, _ = decode_rows(tau[None], [keypoint], cls, calib, stats)
+    x, y, z, h, w, l, yaw = rows[0].tolist()
     if z <= 0:
         raise ValueError("non-positive decoded depth")
-    u = DOWNSAMPLE * (keypoint[0] + du)
-    v = DOWNSAMPLE * (keypoint[1] + dv)
-    x, y, z = backproject(u, v, z, calib)
-    mean = stats.dims_for(cls)
-    dims = tuple(_decode_dim(m, d, clamp_dims) for m, d in zip(mean, (dh, dw, dl)))
-    alpha = math.atan2(sin_a, cos_a)
-    yaw = normalize_angle(alpha + math.atan2(x, z))
-    return Box3D((x, y, z), dims, yaw)
+    return Box3D((x, y, z), (h, w, l), yaw)  # a non-finite row raises here
 
 
 def box_array(boxes) -> np.ndarray:

@@ -63,7 +63,7 @@ class KittiLabel:
         x, y, z = self.location
         try:
             return Box3D((x, y - h / 2, z), (h, w, l), self.rotation_y)
-        except ValueError as e:  # a non-finite location, dimension or rotation
+        except ValueError as e:  # the center's y - h / 2 overflows to -inf
             raise KittiFormatError(str(e)) from None
 
     def to_ground_truth(self, frame: int = 0) -> GroundTruth:
@@ -99,7 +99,9 @@ def parse_label_line(line: str, lineno: int | None = None) -> KittiLabel:
             values.append(float(raw))
         except ValueError:
             raise KittiFormatError(f"non-numeric value {raw!r} for field {name!r}{where}")
-    if not values[2].is_integer():  # also rejects inf and nan
+        if not math.isfinite(values[-1]):  # KITTI's sentinels (-1, -10, -1000) are finite
+            raise KittiFormatError(f"non-finite value {raw!r} for field {name!r}{where}")
+    if not values[2].is_integer():
         raise KittiFormatError(f"non-integer value {fields[2]!r} for field 'occluded'{where}")
     return KittiLabel(
         type=values[0],

@@ -214,14 +214,12 @@ def run_pipeline(
     dets = []
     if candidates:
         taus = litefpn.regress(litefpn.gather_fuse(pyramid, candidates), head)
-        for kp, tau in zip(candidates, taus):
-            try:
-                box = geometry.decode_box(
-                    tau, (kp.u, kp.v), "Car", CALIB, model.stats, clamp_dims=True
-                )
-            except ValueError:
-                continue  # non-positive decoded depth on a background keypoint
-            dets.append(Detection(box=box, cls="Car", score=kp.score))
+        uv = [(kp.u, kp.v) for kp in candidates]
+        rows, ok = geometry.decode_rows(taus, uv, "Car", CALIB, model.stats)
+        dets = [
+            Detection(Box3D(tuple(r[:3]), tuple(r[3:6]), r[6]), "Car", candidates[i].score)
+            for i, r in zip(np.flatnonzero(ok).tolist(), rows[ok].tolist())
+        ]
     gts = [GroundTruth(box=box, cls=cls) for box, cls in scene.objects]
     report = evaluation.evaluate(
         {0: dets}, {0: gts}, cls="Car",
@@ -297,18 +295,9 @@ def toy_train(
     for _ in range(epochs):
         pred = u_mat @ w
         if loss == "attention":
-            decoded, rows = [], []
-            for i in range(n):
-                try:
-                    box = geometry.decode_box(
-                        pred[i], kps[i], "Car", CALIB, model.stats, clamp_dims=True
-                    )
-                except ValueError:
-                    continue  # an undecodable prediction keeps IoU 0
-                decoded.append(box)
-                rows.append(i)
-            ious = np.zeros(n)
-            ious[rows] = geometry.rotated_iou(geometry.box_array(decoded), gt_rows[rows], "3d")
+            rows, ok = geometry.decode_rows(pred, kps, "Car", CALIB, model.stats)
+            ious = np.zeros(n)  # an undecodable prediction keeps IoU 0
+            ious[ok] = geometry.rotated_iou(rows[ok], gt_rows[ok], "3d")
             batch = losses.LossBatch(pred, targets, scores=scores, ious=ious)
             weights = losses.attention_weights(batch, attention_params)
         else:

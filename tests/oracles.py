@@ -1,12 +1,16 @@
 """Independent reference implementations used to check the library code:
-voxel-grid volume IoU, scalar Sutherland-Hodgman polygon-clipping IoU, naive
-matrix multiplication, brute-force threshold-enumeration average precision and
-per-pixel top-K local maxima. Deliberately slow and simple.
+voxel-grid volume IoU, scalar Sutherland-Hodgman polygon-clipping IoU, a
+scalar box decoder, naive matrix multiplication, a per-detection PR-curve loop,
+brute-force threshold-enumeration average precision and per-pixel top-K local
+maxima. Deliberately slow and simple.
 """
+
+import math
 
 import numpy as np
 
-from kp3d.geometry import Box3D
+from kp3d import geometry
+from kp3d.geometry import DIM_CLAMP_MAX, DIM_CLAMP_MIN, DOWNSAMPLE, Box3D
 
 
 def point_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
@@ -113,6 +117,32 @@ def clip_iou(a: Box3D, b: Box3D, criterion: str = "3d") -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def scalar_decode_box(tau, keypoint, cls, calib, stats) -> Box3D:
+    """Decode one 8-tuple at a 1/4-grid keypoint with Python float arithmetic,
+    clamping dimensions; raises ValueError on a non-positive depth or (through
+    Box3D) a non-finite value."""
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != (8,):
+        raise ValueError(f"expected an 8-tuple of regression values, got shape {tau.shape}")
+    dz, du, dv, dh, dw, dl, sin_a, cos_a = tau
+    z = stats.depth_mean + dz * stats.depth_std
+    if z <= 0:
+        raise ValueError("non-positive decoded depth")
+    u = DOWNSAMPLE * (keypoint[0] + du)
+    v = DOWNSAMPLE * (keypoint[1] + dv)
+    x, y, z = geometry.backproject(u, v, z, calib)
+    dims = []
+    for mean, log_ratio in zip(stats.dims_for(cls), (dh, dw, dl)):
+        try:
+            dim = mean * math.exp(log_ratio)
+        except OverflowError:
+            dim = DIM_CLAMP_MAX
+        dims.append(min(max(dim, DIM_CLAMP_MIN), DIM_CLAMP_MAX))
+    alpha = math.atan2(sin_a, cos_a)
+    yaw = geometry.normalize_angle(alpha + math.atan2(x, z))
+    return Box3D((x, y, z), tuple(dims), yaw)
+
+
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0], b.shape[1]))
     for i in range(a.shape[0]):
@@ -124,9 +154,33 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def loop_pr_curve(frames) -> list[tuple[float, float]]:
+    """PR points, one per distinct score, by a sweep over the detections
+    sorted by descending score (stable: TPs before FPs, in frame order)."""
+    n_gt = sum(f.n_gt for f in frames)
+    scored = [(s, True) for f in frames for s in f.tp_scores]
+    scored += [(s, False) for f in frames for s in f.fp_scores]
+    scored.sort(key=lambda x: -x[0])
+    points = []
+    tp = fp = 0
+    for i, (score, is_tp) in enumerate(scored):
+        if is_tp:
+            tp += 1
+        else:
+            fp += 1
+        if i + 1 < len(scored) and scored[i + 1][0] == score:
+            continue
+        points.append((tp / n_gt, tp / (tp + fp)))
+    return points
+
+
 def brute_force_ap_r11(tp_scores, fp_scores, n_gt: int) -> float:
-    """R11 AP by enumerating every score threshold and explicitly maximizing
-    precision over recall >= r."""
+    return brute_force_ap(tp_scores, fp_scores, n_gt, "r11")
+
+
+def brute_force_ap(tp_scores, fp_scores, n_gt: int, mode: str) -> float:
+    """R11 or R40 AP by enumerating every score threshold and explicitly
+    maximizing precision over recall >= r."""
     scores = sorted(set(tp_scores) | set(fp_scores), reverse=True)
     points = []
     for thr in scores:
@@ -134,10 +188,11 @@ def brute_force_ap_r11(tp_scores, fp_scores, n_gt: int) -> float:
         fp = sum(1 for s in fp_scores if s >= thr)
         if tp + fp:
             points.append((tp / n_gt, tp / (tp + fp)))
+    recalls = [i / 10 for i in range(11)] if mode == "r11" else [i / 40 for i in range(1, 41)]
     total = 0.0
-    for r in [i / 10 for i in range(11)]:
+    for r in recalls:
         total += max((p for rec, p in points if rec >= r - 1e-12), default=0.0)
-    return 100.0 * total / 11.0
+    return 100.0 * total / len(recalls)
 
 
 def brute_force_topk(heatmap: np.ndarray, k: int) -> list[tuple[int, int, int, float]]:

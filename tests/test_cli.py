@@ -113,6 +113,27 @@ class TestEvalCommand:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "where, field, value, named",
+        [
+            ("gt", 7, "nan", "'bbox_bottom'"),
+            ("det", 4, "inf", "'bbox_left'"),
+            ("gt", 3, "nan", "'alpha'"),
+        ],
+    )
+    def test_non_finite_field_exit_3(self, tmp_path, capsys, where, field, value, named):
+        # a NaN bbox height would put the GT in the ignored stratum, dropping a TP
+        dirs = dict(zip(("gt", "det"), write_fixture(tmp_path)))
+        fields = GT_LINE.split()
+        fields[field] = value
+        score = " 0.95" if where == "det" else ""
+        (dirs[where] / "000000.txt").write_text(" ".join(fields) + score + "\n")
+        out = tmp_path / "report.json"
+        assert cli.main(["eval", "--gt-dir", str(dirs["gt"]), "--det-dir", str(dirs["det"]),
+                         "--out", str(out)]) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "gt_text, difficulty",
         [
             ("DontCare -1 -1 -10 500.0 150.0 520.0 160.0 -1 -1 -1 -1000 -1000 -1000 -10\n", "hard"),

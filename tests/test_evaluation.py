@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from kp3d import evaluation
 from kp3d.evaluation import Detection, Difficulty, FrameMatches, GroundTruth, difficulty_of
 from kp3d.geometry import Box3D
 
-from oracles import brute_force_ap_r11, clip_iou
+from oracles import brute_force_ap, brute_force_ap_r11, clip_iou, loop_pr_curve
 
 
 def box(x=0.0, z=10.0, yaw=0.0, dims=(1.5, 1.6, 4.0)):
@@ -243,3 +243,27 @@ def test_ap_independent_of_frame_id_order(case):
     permuted = _ap({ids[perm[i]]: d for i, (d, _) in enumerate(frames)},
                    {ids[perm[i]]: g for i, (_, g) in enumerate(frames)})
     assert as_given == permuted
+
+
+# most pipeline detections score exactly 0, so scores tie often
+_SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _frame_matches(draw):
+    tp = draw(st.lists(_SCORES, max_size=8))
+    fp = draw(st.lists(_SCORES, max_size=8))
+    return FrameMatches(tp_scores=tp, fp_scores=fp, n_gt=len(tp) + draw(st.integers(0, 3)))
+
+
+@given(st.lists(_frame_matches(), min_size=1, max_size=4))
+@example([FrameMatches([0.0, 0.5, 0.0], [0.0, 0.5, 1.0], n_gt=4), FrameMatches([0.0], [0.0], 1)])
+@example([FrameMatches([], [0.0, 0.0], n_gt=2)])
+def test_pr_curve_and_ap_with_score_ties(frames):
+    assume(sum(f.n_gt for f in frames) > 0)
+    assert evaluation.pr_curve(frames) == loop_pr_curve(frames)
+    tp = [s for f in frames for s in f.tp_scores]
+    fp = [s for f in frames for s in f.fp_scores]
+    n_gt = sum(f.n_gt for f in frames)
+    for mode in ("r11", "r40"):
+        assert evaluation.average_precision(frames, mode) == brute_force_ap(tp, fp, n_gt, mode)

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from kp3d import geometry
+from kp3d import geometry, synth
 from kp3d.geometry import Box3D, CameraCalib, DecodeStats
 
-from oracles import clip_iou, sample_iou_bev, voxel_iou_3d
+from oracles import clip_iou, sample_iou_bev, scalar_decode_box, voxel_iou_3d
 
 
 @pytest.fixture
@@ -115,18 +115,16 @@ class TestEncodeDecode:
         box = geometry.decode_box(tau, (10, 10), "Car", calib, STATS, clamp_dims=True)
         assert box.dims == (geometry.DIM_CLAMP_MAX, *STATS.dims_for("Car")[1:])
 
-    def test_overflowing_dim_rejected_without_clamp(self, calib):
-        tau = np.array([0.0, 0.5, 0.5, 0.0, 0.0, 720.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="overflows"):
-            geometry.decode_box(tau, (10, 10), "Car", calib, STATS)
+    def test_clamp_dims_false_rejected(self, calib):
+        tau = np.array([0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="always clamped"):
+            geometry.decode_box(tau, (10, 10), "Car", calib, STATS, clamp_dims=False)
 
-    def test_largest_finite_exp_decodes_unclamped(self, calib):
+    def test_largest_finite_exp_clamps_to_max(self, calib):
         # exp(709) is finite; the product with the mean length overflows to inf
         tau = np.array([0.0, 0.5, 0.5, 0.0, 0.0, 709.0, 0.0, 1.0])
         box = geometry.decode_box(tau, (10, 10), "Car", calib, STATS, clamp_dims=True)
         assert box.dims[2] == geometry.DIM_CLAMP_MAX
-        with pytest.raises(ValueError, match="finite"):
-            geometry.decode_box(tau, (10, 10), "Car", calib, STATS)
 
     @pytest.mark.parametrize("index", range(8))
     def test_nan_tau_rejected(self, calib, index):
@@ -249,6 +247,62 @@ def test_encode_decode_round_trip_property(box):
     assert out.center == pytest.approx(box.center, abs=1e-6)
     assert out.dims == pytest.approx(box.dims, abs=1e-6)
     assert abs(geometry.normalize_angle(out.yaw - box.yaw)) <= 1e-6
+
+
+_TAU_VALUES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([709.0, 720.0, math.nan, math.inf, -math.inf]),
+)
+_CANDIDATES = st.lists(
+    st.tuples(
+        st.integers(0, 319), st.integers(0, 95), st.lists(_TAU_VALUES, min_size=8, max_size=8)
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _wild_candidates():
+    """A depth below zero; NaN and +-inf at each index; log-ratios past the
+    exp overflow and at its edge for each dimension."""
+    base = [0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0]
+    rows = [[-(STATS.depth_mean / STATS.depth_std) - 0.1, *base[1:]]]
+    for index in range(8):
+        for value in (math.nan, math.inf, -math.inf):
+            rows.append([value if i == index else v for i, v in enumerate(base)])
+    for index in (3, 4, 5):
+        for value in (709.0, 720.0):
+            rows.append([value if i == index else v for i, v in enumerate(base)])
+    return [(10 + i, 20, tau) for i, tau in enumerate(rows)]
+
+
+def _seeded_candidates():
+    """Rows of non-round values: numpy's exp and arctan2 differ from math's in
+    the last bit on a few percent of them."""
+    taus = np.random.default_rng(0).uniform(-1.0, 1.0, size=(48, 8))
+    return [(100 + i, 30 + i, tau.tolist()) for i, tau in enumerate(taus)]
+
+
+@given(st.sampled_from([synth.CALIB, _KITTI_P2]), _CANDIDATES)
+@example(synth.CALIB, _wild_candidates())
+@example(_KITTI_P2, _wild_candidates())
+@example(synth.CALIB, _seeded_candidates())
+def test_decode_rows_equal_scalar_decoder_property(calib, candidates):
+    uv = [(u, v) for u, v, _ in candidates]
+    taus = np.array([tau for _, _, tau in candidates])
+    rows, ok = geometry.decode_rows(taus, uv, "Car", calib, STATS)
+    for row, good, keypoint, tau in zip(rows, ok, uv, taus):
+        try:
+            with np.errstate(invalid="ignore"):  # the scalar steps on inf - inf
+                box = scalar_decode_box(tau, keypoint, "Car", calib, STATS)
+        except ValueError:
+            assert not good
+            with pytest.raises(ValueError):
+                geometry.decode_box(tau, keypoint, "Car", calib, STATS)
+            continue
+        assert good
+        assert row.tobytes() == geometry.box_array([box])[0].tobytes()
+        assert geometry.decode_box(tau, keypoint, "Car", calib, STATS) == box
 
 
 def _shifted(box: Box3D, along: float, across: float, dims=None, yaw_offset=0.0) -> Box3D:

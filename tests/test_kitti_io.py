@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -72,11 +74,16 @@ _FIELD_VALUES = st.one_of(
 @example("Car", _line(2, "2.7").split()[1:])
 @example("Car", _line(1, "5.0").split()[1:])
 @example("Car", _line(1, "5.0", " 0.5").split()[1:])
+@example("Car", _line(7, "nan").split()[1:])
+@example("Car", _line(4, "inf", " 0.5").split()[1:])
+@example("Car", _line(3, "nan").split()[1:])
+@example("Car", _line(8, "1e308").replace(" 1.7 ", " -1.5e308 ").split()[1:])
 def test_fuzzed_lines_raise_only_format_errors(cls, values):
     try:
         label = kitti_io.parse_label_line(" ".join([cls, *values]))
     except KittiFormatError:
         return
+    assert all(math.isfinite(float(v)) for v in values)
     for convert in (label.to_ground_truth, label.to_detection):
         try:
             convert()
@@ -103,6 +110,12 @@ class TestBoxConversion:
         g = kitti_io.parse_label_line(GT_LINE).to_ground_truth(frame=7)
         assert g.bbox_height == 60.0
         assert g.frame == 7
+
+    def test_overflowing_center_rejected(self):
+        # finite fields whose box center y - h / 2 overflows to -inf
+        label = kitti_io.parse_label_line(_line(8, "1e308").replace(" 1.7 ", " -1.5e308 "))
+        with pytest.raises(KittiFormatError, match="finite"):
+            label.to_box3d()
 
     @pytest.mark.parametrize("field, value", [(11, "inf"), (9, "nan"), (14, "-inf")])
     def test_non_finite_field_rejected(self, field, value):

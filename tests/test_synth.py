@@ -207,20 +207,19 @@ class TestToyTrain:
         from kp3d import losses
 
         scenes = scenes_for(range(2))
-        first_kp = synth.training_data(scenes, MODEL)[3][0]
-        decode, weights = geometry.decode_box, losses.attention_weights
+        decode, weights = geometry.decode_rows, losses.attention_weights
         seen = []
 
-        def failing_decode(tau, keypoint, *args, **kwargs):
-            if keypoint == first_kp:
-                raise ValueError("non-positive decoded depth")
-            return decode(tau, keypoint, *args, **kwargs)
+        def failing_decode(*args, **kwargs):
+            rows, ok = decode(*args, **kwargs)
+            ok[0] = False  # as for a non-positive decoded depth
+            return rows, ok
 
         def recording_weights(batch, params):
             seen.append(batch.ious.copy())
             return weights(batch, params)
 
-        monkeypatch.setattr(synth.geometry, "decode_box", failing_decode)
+        monkeypatch.setattr(synth.geometry, "decode_rows", failing_decode)
         monkeypatch.setattr(losses, "attention_weights", recording_weights)
         synth.toy_train(scenes, MODEL, loss="attention", epochs=2, init=MODEL.head)
         assert seen[0][0] == 0.0

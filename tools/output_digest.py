@@ -1,0 +1,178 @@
+"""Hash the observable outputs of a kp3d checkout, so that two checkouts can be
+compared for byte identity.
+
+    python tools/output_digest.py <checkout> <out.json>
+
+The script imports `kp3d` from `<checkout>/src` and writes a JSON object that
+maps each entry name to the sha256 of one output:
+
+- `pipeline/...`: `synth.run_pipeline` on 180 seeded scenes (seeds 0-44 x
+  feature noise 0 and 0.05 x 5 and 20 objects), each at `3d 0.7` and
+  `bev 0.5`: the detections (class, then score, center, dims and yaw as
+  `float.hex`), the AP report (`json.dumps`) and the PR curve (`float.hex`);
+- `train/...`: `synth.toy_train` loss traces (`float.hex`) and learned heads
+  (array bytes) with the L1 and the attention loss, at noise 0 and 0.05;
+- `eval/...`: the exit code, stdout and `report.json` bytes of `kp3d eval` on
+  generated KITTI-style label directory pairs, under three settings.
+
+Only the public API is used, so the script runs on older checkouts too. To
+check that a change leaves every output as it was, run it on a clone of the
+parent commit and on the change, then diff the two files:
+
+    git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
+    python tools/output_digest.py ../parent parent.json
+    python tools/output_digest.py . change.json
+    diff parent.json change.json && echo identical
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _hex(values) -> str:
+    return " ".join(float.hex(float(v)) for v in values)
+
+
+def pipeline_entries(synth) -> dict[str, str]:
+    out = {}
+    for seed in range(45):
+        for noise in (0.0, 0.05):
+            for n_objects in (5, 20):
+                scene = synth.generate_scene(synth.SceneSpec(seed=seed, n_objects=n_objects))
+                model = synth.OracleModel(feature_noise=noise)
+                for criterion, threshold in (("3d", 0.7), ("bev", 0.5)):
+                    dets, report = synth.run_pipeline(
+                        scene, model, criterion=criterion, threshold=threshold
+                    )
+                    key = f"pipeline/seed{seed}/noise{noise}/n{n_objects}/{criterion}{threshold}"
+                    out[f"{key}/detections"] = _sha("\n".join(
+                        f"{d.cls} {_hex([d.score, *d.box.center, *d.box.dims, d.box.yaw])}"
+                        for d in dets
+                    ))
+                    out[f"{key}/report"] = _sha(json.dumps(report, sort_keys=True))
+                    out[f"{key}/pr_curve"] = _sha("\n".join(_hex(p) for p in report["pr_curve"]))
+    return out
+
+
+def train_entries(synth) -> dict[str, str]:
+    out = {}
+    for noise in (0.0, 0.05):
+        model = synth.OracleModel(feature_noise=noise)
+        for first_seed in (0, 2):
+            scenes = [
+                synth.generate_scene(synth.SceneSpec(seed=s, n_objects=12))
+                for s in (first_seed, first_seed + 1)
+            ]
+            for loss in ("l1", "attention"):
+                head, trace = synth.toy_train(scenes, model, loss=loss, epochs=20)
+                key = f"train/noise{noise}/seeds{first_seed}/{loss}"
+                out[f"{key}/trace"] = _sha(_hex(trace))
+                out[f"{key}/head"] = hashlib.sha256(
+                    head.weights.tobytes() + head.bias.tobytes()
+                ).hexdigest()
+    return out
+
+
+def _label(cls, truncated, occluded, alpha, bbox, dims, loc, yaw, score=None) -> str:
+    parts = [cls, f"{truncated:.2f}", str(occluded), f"{alpha:.2f}"]
+    parts += [f"{v:.2f}" for v in (*bbox, *dims, *loc, yaw)]
+    if score is not None:
+        parts.append(f"{score:.6f}")
+    return " ".join(parts)
+
+
+def _frame_texts(rng) -> tuple[str, str]:
+    """One frame's GT and detection label texts: Cars in every difficulty
+    stratum, a DontCare row, perturbed detections of most Cars and a few false
+    positives. Scores are rounded to 0.1 or are 0, so they tie often."""
+    gt_lines, det_lines = [], []
+    for i in range(int(rng.integers(1, 9))):
+        z = rng.uniform(5.0, 50.0)
+        x, y = rng.uniform(-0.6, 0.6) * z, 1.65 + rng.normal(0.0, 0.1)
+        h, w, l = 1.52 + rng.normal(0, 0.08), 1.63 + rng.normal(0, 0.08), 3.88 + rng.normal(0, 0.3)
+        yaw = rng.uniform(-math.pi, math.pi)
+        u, v, bh = 640.0 + 700.0 * x / z, 192.0 + 700.0 * (y - h / 2) / z, 700.0 * h / z
+        bbox = (u - bh, v - bh / 2, u + bh, v + bh / 2)
+        occluded, truncated = int(rng.integers(0, 4)), float(rng.choice([0.0, 0.2, 0.4, 0.6]))
+        alpha = yaw - math.atan2(x, z)
+        gt_lines.append(_label("Car", truncated, occluded, alpha, bbox, (h, w, l), (x, y, z), yaw))
+        for _ in range(int(rng.choice([0, 1, 1, 2]))):
+            dx, dz, dyaw = rng.normal(0.0, 0.4), rng.normal(0.0, 0.4), rng.normal(0.0, 0.2)
+            score = 0.0 if rng.random() < 0.2 else round(float(rng.uniform(0.1, 1.0)), 1)
+            det_lines.append(_label("Car", 0.0, 0, alpha, bbox, (h, w, l),
+                                    (x + dx, y, z + dz), yaw + dyaw, score))
+    gt_lines.append("DontCare -1 -1 -10 500.00 150.00 540.00 180.00 -1 -1 -1 -1000 -1000 -1000 -10")
+    for _ in range(int(rng.integers(0, 3))):
+        z = rng.uniform(5.0, 50.0)
+        score = round(float(rng.uniform(0.0, 0.6)), 1)
+        det_lines.append(_label("Car", 0.0, 0, 0.0, (0.0, 0.0, 50.0, 50.0), (1.5, 1.6, 3.9),
+                                (rng.uniform(-0.6, 0.6) * z, 1.65, z), 0.0, score))
+    return "".join(s + "\n" for s in gt_lines), "".join(s + "\n" for s in det_lines)
+
+
+def eval_entries(cli) -> dict[str, str]:
+    settings = (
+        ("bev", "0.5", "r40", "moderate"),
+        ("3d", "0.7", "r11", "hard"),
+        ("3d", "0.5", "r40", "easy"),
+    )
+    out = {}
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        for pair in range(12):
+            base = Path(tmp) / f"pair{pair:02d}"
+            (base / "gt").mkdir(parents=True)
+            (base / "det").mkdir()
+            for frame in range(int(rng.integers(1, 12))):
+                gt_text, det_text = _frame_texts(rng)
+                (base / "gt" / f"{frame:06d}.txt").write_text(gt_text)
+                (base / "det" / f"{frame:06d}.txt").write_text(det_text)
+            for criterion, iou, mode, difficulty in settings:
+                report = base / "report.json"
+                report.unlink(missing_ok=True)
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([
+                        "eval", "--gt-dir", str(base / "gt"), "--det-dir", str(base / "det"),
+                        "--criterion", criterion, "--iou", iou, "--mode", mode,
+                        "--difficulty", difficulty, "--out", str(report),
+                    ])
+                text = report.read_text() if report.exists() else ""
+                key = f"eval/pair{pair:02d}/{criterion}{iou}/{mode}/{difficulty}"
+                out[key] = _sha(f"{code}\n{stdout.getvalue()}\n{text}")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 64
+    checkout, out_path = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path.insert(0, str(checkout / "src"))
+    from kp3d import cli, synth
+
+    if not Path(synth.__file__).resolve().is_relative_to(checkout):
+        print(f"kp3d was imported from {synth.__file__}, not from {checkout}", file=sys.stderr)
+        return 2
+    entries = {**pipeline_entries(synth), **train_entries(synth), **eval_entries(cli)}
+    out_path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    print(f"{len(entries)} entries written to {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
