@@ -1,6 +1,10 @@
 """KITTI-protocol evaluation: difficulty stratification, greedy score-ordered
 detection/ground-truth matching over one rotated-box IoU matrix per frame, and
 interpolated average precision at 11 or 40 recall points over a cumulative PR curve.
+
+Matching runs on per-frame rows, (D, 7) detections with scores against (G, 7)
+ground truths with ignored flags; `evaluate` is where `Detection` and
+`GroundTruth` objects become those rows, one `box_array` per side per frame.
 """
 
 from __future__ import annotations
@@ -82,52 +86,36 @@ def difficulty_of(gt: GroundTruth) -> Difficulty:
 
 
 def match_frame(
-    dets: list[Detection],
-    gts: list[GroundTruth],
-    criterion: str = "3d",
-    threshold: float = 0.7,
-    ignored: list[bool] | None = None,
+    det_rows, det_scores, gt_rows, ignored, criterion: str, threshold: float
 ) -> FrameMatches:
     """Greedy one-to-one matching for a single frame and class.
 
-    Detections are processed in descending score (ties: lower input index
-    first); each claims the highest-IoU unmatched GT with IoU >= threshold.
-    GTs flagged `ignored` never count as missed, and detections whose best
-    match is an ignored GT are dropped rather than counted as false positives.
-    The D x G IoU matrix, ignored GTs included, is computed once up front.
+    Detection rows (D, 7) go in descending score (ties: lower row first); each
+    claims the highest-IoU free GT row (G, 7) with IoU >= threshold (ties: lower
+    GT index). GTs flagged `ignored` never count as missed, and a detection
+    that finds no free GT but reaches an ignored one is dropped rather than
+    counted as a false positive. The D x G IoU matrix is computed once up front.
     """
-    if ignored is None:
-        ignored = [False] * len(gts)
-    if len(ignored) != len(gts):
-        raise ValueError("ignored flags must align with gts")
-    iou = geometry.rotated_iou(
-        geometry.box_array([d.box for d in dets])[:, None],
-        geometry.box_array([g.box for g in gts])[None],
-        criterion,
-    )
-    # a detection reaching no GT at the threshold, ignored or not, is an FP
-    hit = (iou >= threshold).any(axis=1).tolist()
-
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = [False] * len(gts)
-    result = FrameMatches(n_gt=sum(1 for ig in ignored if not ig))
-    for di in order:
-        score = dets[di].score
+    ignored = np.asarray(ignored, dtype=bool)
+    if ignored.shape != (len(gt_rows),):
+        raise ValueError("ignored flags must align with gt rows")
+    iou = geometry.rotated_iou(np.asarray(det_rows)[:, None], np.asarray(gt_rows)[None], criterion)
+    reach = iou >= threshold  # a NaN IoU reaches nothing
+    hit = reach.any(axis=1).tolist()
+    scores = np.asarray(det_scores, dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    free = ~ignored
+    result = FrameMatches(n_gt=int(free.sum()))
+    for di, score in zip(order.tolist(), scores[order].tolist()):
         if not hit[di]:
             result.fp_scores.append(score)
             continue
-        row = iou[di].tolist()
-        best_j, best_iou = -1, threshold
-        for j, v in enumerate(row):
-            if taken[j] or ignored[j]:
-                continue
-            if v > best_iou or (v == best_iou and best_j < 0):
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            taken[best_j] = True
+        row = np.where(free & reach[di], iou[di], -1.0)
+        best = int(row.argmax())  # the first of equal IoUs: the lower GT index
+        if row[best] >= 0.0:
+            free[best] = False
             result.tp_scores.append(score)
-        elif not any(ig and v >= threshold for ig, v in zip(ignored, row)):
-            # no valid match: drop silently if an ignored GT would have matched
+        elif not (reach[di] & ignored).any():
             result.fp_scores.append(score)
     return result
 
@@ -151,10 +139,9 @@ def pr_curve(frames: list[FrameMatches]) -> list[tuple[float, float]]:
     return list(zip((tp / n_gt).tolist(), (tp / seen).tolist()))
 
 
-def average_precision(frames: list[FrameMatches], mode: str = "r11") -> float:
+def _interpolated_ap(points: list[tuple[float, float]], mode: str) -> float:
     """Interpolated AP in percent: p(r) = max precision at recall >= r,
     averaged over 11 recall points including 0 (r11) or 40 excluding 0 (r40)."""
-    points = pr_curve(frames)
     if mode == "r11":
         recalls = np.linspace(0.0, 1.0, 11)
     elif mode == "r40":
@@ -170,6 +157,11 @@ def average_precision(frames: list[FrameMatches], mode: str = "r11") -> float:
     return 100.0 * float(np.cumsum(p_at)[-1]) / len(recalls)
 
 
+def average_precision(frames: list[FrameMatches], mode: str = "r11") -> float:
+    """Interpolated AP in percent of the frames' PR curve."""
+    return _interpolated_ap(pr_curve(frames), mode)
+
+
 def evaluate(
     det_frames: dict[int, list[Detection]],
     gt_frames: dict[int, list[GroundTruth]],
@@ -179,7 +171,8 @@ def evaluate(
     threshold: float = 0.7,
     mode: str = "r11",
 ) -> dict:
-    """Full evaluation over frames; returns the report as a plain dict."""
+    """Full evaluation over frames; returns the report as a plain dict. Each
+    frame's objects of class `cls` become box rows once; the PR curve is built once."""
     if difficulty is Difficulty.IGNORED:
         raise ValueError("cannot evaluate the ignored stratum")
     rank = {level: i for i, level in enumerate(Difficulty)}  # IGNORED ranks last
@@ -188,14 +181,17 @@ def evaluate(
         gts = [g for g in gt_frames[frame_id] if g.cls == cls]
         dets = [d for d in det_frames.get(frame_id, []) if d.cls == cls]
         ignored = [rank[difficulty_of(g)] > rank[difficulty] for g in gts]
-        frames.append(match_frame(dets, gts, criterion, threshold, ignored))
-    ap = average_precision(frames, mode)
+        frames.append(match_frame(
+            geometry.box_array([d.box for d in dets]), [d.score for d in dets],
+            geometry.box_array([g.box for g in gts]), ignored, criterion, threshold,
+        ))
+    points = pr_curve(frames)
     return {
         "class": cls,
         "difficulty": difficulty.value,
         "criterion": criterion,
         "iou_threshold": threshold,
         "mode": mode,
-        "ap": ap,
-        "pr_curve": [list(p) for p in pr_curve(frames)],
+        "ap": _interpolated_ap(points, mode),
+        "pr_curve": [list(p) for p in points],
     }

@@ -23,6 +23,11 @@ _FIELD_NAMES = [
     "height", "width", "length", "x", "y", "z", "rotation_y", "score",
 ]
 
+# the largest label dimension (m): a product of three lengths up to 1e100 stays
+# below the float maximum (1.8e308), so box volumes and IoUs stay finite, and a
+# finite y - h / 2 cannot overflow
+_MAX_DIM = 1e100
+
 TRAIN_SPLIT_SIZE = 3712
 VAL_SPLIT_SIZE = 3769
 
@@ -58,13 +63,10 @@ class KittiLabel:
         sits h/2 above (smaller y than) the bottom-center location."""
         h, w, l = self.dimensions
         for name, value in zip(("height", "width", "length"), self.dimensions):
-            if value <= 0:
-                raise KittiFormatError(f"field {name!r} must be positive, got {value}")
+            if not 0 < value <= _MAX_DIM:
+                raise KittiFormatError(f"field {name!r} must be in (0, {_MAX_DIM:g}], got {value}")
         x, y, z = self.location
-        try:
-            return Box3D((x, y - h / 2, z), (h, w, l), self.rotation_y)
-        except ValueError as e:  # the center's y - h / 2 overflows to -inf
-            raise KittiFormatError(str(e)) from None
+        return Box3D((x, y - h / 2, z), (h, w, l), self.rotation_y)
 
     def to_ground_truth(self, frame: int = 0) -> GroundTruth:
         box = self.to_box3d()

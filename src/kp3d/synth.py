@@ -144,7 +144,7 @@ def encode_objects(scene: Scene, stats: DecodeStats):
 
 
 def oracle_pyramid(scene: Scene, model: OracleModel):
-    """Build (gt heatmap, predicted heatmap, feature pyramid) for a scene.
+    """Build (predicted heatmap, feature pyramid) for a scene.
 
     The pyramid is random background everywhere except that each keypoint's
     fine-level cell is solved so the planted head reads the object's exact
@@ -176,18 +176,16 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
         GaussianSpec(center=kp, sigma=_splat_sigma(box), cls=0)
         for kp, (box, _) in zip(keypoints, boxes)
     ]
-    gt_hm = heatmap.encode_heatmap(specs, shape)
-
-    pred_hm = gt_hm.copy()
+    pred_hm = heatmap.encode_heatmap(specs, shape)
     if model.feature_noise == 0:
-        return gt_hm, pred_hm, pyramid  # nothing degrades the scores
+        return pred_hm, pyramid  # nothing degrades the scores
     kp_objs = [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in keypoints]
     emb = litefpn.gather_fuse(pyramid, kp_objs)
     # regress row by row: a batched matmul may round differently
     for row, kp, tau in zip(emb, keypoints, taus):
         err = float(np.abs(litefpn.regress(row[None], model.head)[0] - tau).sum())
         pred_hm[0, kp[1], kp[0]] = min(max(1.0 - err, 0.0), 1.0)
-    return gt_hm, pred_hm, pyramid
+    return pred_hm, pyramid
 
 
 def run_pipeline(
@@ -207,9 +205,7 @@ def run_pipeline(
     evaluation report dict).
     """
     head = regress_head if regress_head is not None else model.head
-    # drop the GT heatmap at once: held through top-K, it lifts each scene's
-    # peak heap to where malloc trims and re-faults the pages on every scene
-    pred_hm, pyramid = oracle_pyramid(scene, model)[1:]
+    pred_hm, pyramid = oracle_pyramid(scene, model)
     candidates = heatmap.topk(pred_hm, k)
     dets = []
     if candidates:
@@ -234,7 +230,7 @@ def training_data(scenes: list[Scene], model: OracleModel):
     from every scene, in scene order."""
     embeddings, targets, boxes, kps, scores = [], [], [], [], []
     for scene in scenes:
-        pred_hm, pyramid = oracle_pyramid(scene, model)[1:]
+        pred_hm, pyramid = oracle_pyramid(scene, model)
         keypoints, taus, kept = encode_objects(scene, model.stats)
         kp_objs = [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in keypoints]
         embeddings.append(litefpn.gather_fuse(pyramid, kp_objs))

@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kp3d import cli, kitti_io
 from kp3d.evaluation import Detection
 from kp3d.geometry import Box3D
 
 GT_LINE = "Car 0.00 0 -1.57 100.0 120.0 200.0 180.0 1.50 1.60 3.80 -2.0 1.7 30.0 -1.64"
+# finite dimensions whose box volume overflows, so IoU would be NaN
+HUGE_LINE = "Car 0.00 0 0.00 0 0 50 100 1e200 1e200 1e200 0 1.5 30 0"
 
 
 def write_fixture(tmp_path, dets_equal_gt=True):
@@ -133,6 +142,21 @@ class TestEvalCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_dimension_label_exit_3(self, tmp_path, capsys):
+        # a detection identical to its GT used to score as an FP (AP 0.0, exit
+        # 0) behind a stream of numpy RuntimeWarnings
+        gt_dir, det_dir = write_fixture(tmp_path)
+        (gt_dir / "000000.txt").write_text(HUGE_LINE + "\n")
+        (det_dir / "000000.txt").write_text(HUGE_LINE + " 0.9\n")
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                             "--out", str(out)])
+        assert code == 3
+        assert "'height'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "gt_text, difficulty",
         [
@@ -160,6 +184,71 @@ class TestEvalCommand:
                          "--det-dir", str(demo / "label_det"),
                          "--out", str(tmp_path / "report.json")]) == 2
         assert "'Car'" in capsys.readouterr().err
+
+
+def _with_field(line: str, field: int, value: str) -> str:
+    fields = line.split()
+    fields[field] = value
+    return " ".join(fields)
+
+
+def _finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+# numeric field texts: valid values, KITTI sentinels, non-finite, overflowing
+# and non-numeric text
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e200", "-1", "0", "0.5", "2", "x"]),
+    st.floats().map(repr),
+    st.floats(-50.0, 50.0).map(repr),
+)
+
+
+@st.composite
+def _label_line(draw, score: bool) -> str:
+    """GT_LINE with a drawn class and at most one numeric field replaced, plus
+    a trailing score for a detection."""
+    line = _with_field(GT_LINE, 0, draw(st.sampled_from(["Car", "DontCare", "Van"])))
+    for field in draw(st.lists(st.integers(1, 14), max_size=1)):
+        line = _with_field(line, field, draw(_NUMBER))
+    if score:
+        line += " " + draw(st.one_of(st.floats(0.0, 1.0).map(repr), _NUMBER))
+    return line
+
+
+@given(st.lists(
+    st.tuples(st.lists(_label_line(False), max_size=2), st.lists(_label_line(True), max_size=2)),
+    min_size=1, max_size=3,
+))
+@example([([_with_field(GT_LINE, 13, "nan")], [GT_LINE + " 0.9"])])
+@example([([GT_LINE], [_with_field(GT_LINE, 9, "inf") + " 0.9"])])
+@example([([_with_field(GT_LINE, 11, "1e400")], [GT_LINE + " 0.9"])])
+@example([([GT_LINE], [GT_LINE + " nan"])])
+@example([([HUGE_LINE], [HUGE_LINE + " 0.9"])])
+def test_eval_exit_codes_on_fuzzed_label_dirs(frames):
+    """`kp3d eval` over one (GT lines, detection lines) file pair per frame
+    exits 0, 2 or 3 without a traceback, and 0 only when every numeric field
+    is finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gt_dir, det_dir = Path(tmp, "gt"), Path(tmp, "det")
+        gt_dir.mkdir()
+        det_dir.mkdir()
+        for frame, (gt_lines, det_lines) in enumerate(frames):
+            (gt_dir / f"{frame:06d}.txt").write_text("".join(l + "\n" for l in gt_lines))
+            (det_dir / f"{frame:06d}.txt").write_text("".join(l + "\n" for l in det_lines))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                             "--out", str(Path(tmp, "report.json"))])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        lines = [l for gt_lines, det_lines in frames for l in gt_lines + det_lines]
+        assert all(_finite(f) for l in lines for f in l.split()[1:])
 
 
 class TestBenchCommand:

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from kp3d import evaluation
 from kp3d.evaluation import Detection, Difficulty, FrameMatches, GroundTruth, difficulty_of
-from kp3d.geometry import Box3D
+from kp3d.geometry import Box3D, box_array
 
 from oracles import brute_force_ap, brute_force_ap_r11, clip_iou, loop_pr_curve
 
@@ -38,34 +38,44 @@ class TestDifficulty:
         assert difficulty_of(gt(box(), bbox_height=80, truncation=0.9)) is Difficulty.IGNORED
 
 
+def match(dets, gts, criterion, threshold, ignored=None):
+    """`match_frame` on Detection and GroundTruth lists, stacked into box rows
+    the way `evaluate` stacks them."""
+    return evaluation.match_frame(
+        box_array([d.box for d in dets]), [d.score for d in dets],
+        box_array([g.box for g in gts]),
+        [False] * len(gts) if ignored is None else ignored, criterion, threshold,
+    )
+
+
 class TestMatchFrame:
     def test_perfect_match(self):
-        m = evaluation.match_frame([det(box(), 0.9)], [gt(box())], "3d", 0.7)
+        m = match([det(box(), 0.9)], [gt(box())], "3d", 0.7)
         assert m.tp_scores == [0.9]
         assert m.fp_scores == []
         assert m.n_gt == 1
 
     def test_greedy_one_to_one(self):
         dets = [det(box(), 0.8), det(box(), 0.9)]
-        m = evaluation.match_frame(dets, [gt(box())], "3d", 0.7)
+        m = match(dets, [gt(box())], "3d", 0.7)
         assert m.tp_scores == [0.9]
         assert m.fp_scores == [0.8]
 
     def test_low_iou_is_fp_and_miss(self):
-        m = evaluation.match_frame([det(box(x=2.0), 0.9)], [gt(box())], "3d", 0.7)
+        m = match([det(box(x=2.0), 0.9)], [gt(box())], "3d", 0.7)
         assert m.tp_scores == []
         assert m.fp_scores == [0.9]
         assert m.n_gt == 1
 
     def test_ignored_gt_absorbs_detection(self):
-        m = evaluation.match_frame([det(box(), 0.9)], [gt(box())], "3d", 0.7, ignored=[True])
+        m = match([det(box(), 0.9)], [gt(box())], "3d", 0.7, ignored=[True])
         assert m.tp_scores == []
         assert m.fp_scores == []
         assert m.n_gt == 0
 
     def test_equal_score_tie_break_by_index(self):
         dets = [det(box(), 0.9), det(box(x=20), 0.9)]
-        m = evaluation.match_frame(dets, [gt(box())], "3d", 0.7)
+        m = match(dets, [gt(box())], "3d", 0.7)
         assert m.tp_scores == [0.9]
         assert m.fp_scores == [0.9]
 
@@ -73,9 +83,31 @@ class TestMatchFrame:
         # disjoint vertical extents: BEV still matches, 3D does not
         a = Box3D((0, 0, 10), (1.5, 1.6, 4.0), 0.0)
         b = Box3D((0, 5, 10), (1.5, 1.6, 4.0), 0.0)
-        assert evaluation.match_frame([det(a, 0.9)], [gt(b)], "bev", 0.7).tp_scores == [0.9]
-        assert evaluation.match_frame([det(a, 0.9)], [gt(b)], "3d", 0.7).tp_scores == []
+        assert match([det(a, 0.9)], [gt(b)], "bev", 0.7).tp_scores == [0.9]
+        assert match([det(a, 0.9)], [gt(b)], "3d", 0.7).tp_scores == []
 
+    @pytest.mark.parametrize("criterion", ["3d", "bev"])
+    def test_gt_iou_tie_goes_to_lower_gt_index(self, criterion):
+        # the detection at x = 0 has IoU 7/9 with both GTs; the one at x = 1
+        # reaches only the GT at x = +0.5
+        dets = [det(box(x=0.0), 0.9), det(box(x=1.0), 0.8)]
+        gts = [gt(box(x=-0.5)), gt(box(x=0.5))]
+        assert match(dets, gts, criterion, 0.7) == FrameMatches([0.9, 0.8], [], n_gt=2)
+        assert match(dets, gts[::-1], criterion, 0.7) == FrameMatches([0.9], [0.8], n_gt=2)
+
+    def test_nan_iou_row_matches_nothing(self):
+        # a NaN height makes the detection's IoU NaN against every GT: it
+        # takes no GT, and the ignored GT does not absorb it
+        rows = box_array([box(), box()])
+        rows[0, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            m = evaluation.match_frame(rows, [0.9, 0.8], rows[[1, 1]], [False, True], "3d", 0.7)
+        assert m == FrameMatches(tp_scores=[0.8], fp_scores=[0.9], n_gt=1)
+
+    def test_detection_reaching_only_a_taken_gt_is_fp(self):
+        dets = [det(box(), 0.9), det(box(x=0.3), 0.8)]
+        m = match(dets, [gt(box()), gt(box(x=20.0))], "3d", 0.7)
+        assert m == FrameMatches(tp_scores=[0.9], fp_scores=[0.8], n_gt=2)
 
     @pytest.mark.parametrize("criterion, threshold", [("3d", 0.7), ("bev", 0.5), ("3d", 0.25)])
     def test_matches_per_pair_greedy_oracle(self, criterion, threshold):
@@ -99,11 +131,11 @@ class TestMatchFrame:
                     expected.tp_scores.append(dets[di].score)
                 elif not any(ig and v >= threshold for ig, v in zip(ignored, ious)):
                     expected.fp_scores.append(dets[di].score)
-            assert evaluation.match_frame(dets, gts, criterion, threshold, ignored) == expected
+            assert match(dets, gts, criterion, threshold, ignored) == expected
 
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
-            evaluation.match_frame([], [], "2d", 0.7)
+            match([], [], "2d", 0.7)
 
 
 class TestAveragePrecision:

@@ -1,15 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kp3d import kitti_io
+from kp3d import geometry, kitti_io
 from kp3d.evaluation import Detection
 from kp3d.geometry import Box3D
 from kp3d.kitti_io import KittiFormatError
 
 GT_LINE = "Car 0.00 0 -1.57 100.0 120.0 200.0 180.0 1.50 1.60 3.80 -2.0 1.7 30.0 -1.64"
+# finite dimensions whose box volume overflows: 3D and BEV IoU of the box with
+# itself would be NaN
+HUGE_LINE = "Car 0.00 0 0.00 0 0 50 100 1e200 1e200 1e200 0 1.5 30 0"
 
 
 def _line(field: int, value: str, score: str = "") -> str:
@@ -78,6 +82,7 @@ _FIELD_VALUES = st.one_of(
 @example("Car", _line(4, "inf", " 0.5").split()[1:])
 @example("Car", _line(3, "nan").split()[1:])
 @example("Car", _line(8, "1e308").replace(" 1.7 ", " -1.5e308 ").split()[1:])
+@example("Car", HUGE_LINE.split()[1:])
 def test_fuzzed_lines_raise_only_format_errors(cls, values):
     try:
         label = kitti_io.parse_label_line(" ".join([cls, *values]))
@@ -86,9 +91,14 @@ def test_fuzzed_lines_raise_only_format_errors(cls, values):
     assert all(math.isfinite(float(v)) for v in values)
     for convert in (label.to_ground_truth, label.to_detection):
         try:
-            convert()
+            box = convert().box
         except KittiFormatError:
-            pass
+            continue
+        # a box that converts has a self-IoU in [0, 1] (not NaN), with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 <= geometry.iou_3d(box, box) <= 1.0
+            assert 0.0 <= geometry.iou_bev(box, box) <= 1.0
 
 
 class TestBoxConversion:
@@ -112,10 +122,18 @@ class TestBoxConversion:
         assert g.frame == 7
 
     def test_overflowing_center_rejected(self):
-        # finite fields whose box center y - h / 2 overflows to -inf
+        # finite fields whose box center y - h / 2 would overflow to -inf: the
+        # height is past the dimension bound
         label = kitti_io.parse_label_line(_line(8, "1e308").replace(" 1.7 ", " -1.5e308 "))
-        with pytest.raises(KittiFormatError, match="finite"):
+        with pytest.raises(KittiFormatError, match="'height'"):
             label.to_box3d()
+
+    @pytest.mark.parametrize("field, name", [(8, "'height'"), (9, "'width'"), (10, "'length'")])
+    def test_dimension_above_bound_rejected(self, field, name):
+        assert kitti_io.parse_label_line(_line(field, "1e100")).to_box3d().dims[field - 8] == 1e100
+        above = kitti_io.parse_label_line(_line(field, repr(math.nextafter(1e100, math.inf))))
+        with pytest.raises(KittiFormatError, match=name):
+            above.to_box3d()
 
     @pytest.mark.parametrize("field, value", [(11, "inf"), (9, "nan"), (14, "-inf")])
     def test_non_finite_field_rejected(self, field, value):

@@ -51,7 +51,7 @@ class TestGenerateScene:
 class TestOraclePyramid:
     def test_planted_head_exact_at_zero_noise(self):
         scene = synth.generate_scene(SceneSpec(seed=2, n_objects=6))
-        _, _, pyramid = synth.oracle_pyramid(scene, MODEL)
+        _, pyramid = synth.oracle_pyramid(scene, MODEL)
         kps, taus, _ = synth.encode_objects(scene, MODEL.stats)
         emb = litefpn.gather_fuse(
             pyramid, [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in kps]
@@ -61,11 +61,10 @@ class TestOraclePyramid:
 
     def test_gt_heatmap_is_one_at_keypoints(self):
         scene = synth.generate_scene(SceneSpec(seed=3, n_objects=5))
-        gt_hm, pred_hm, _ = synth.oracle_pyramid(scene, MODEL)
+        pred_hm, _ = synth.oracle_pyramid(scene, MODEL)
         kps, _, _ = synth.encode_objects(scene, MODEL.stats)
         for u, v in kps:
-            assert gt_hm[0, v, u] == 1.0
-            assert pred_hm[0, v, u] == 1.0  # zero noise keeps scores exact
+            assert pred_hm[0, v, u] == 1.0  # zero noise keeps the GT heatmap's scores
 
     def test_noise_monotonically_degrades_regression(self):
         errors = []
@@ -73,7 +72,7 @@ class TestOraclePyramid:
             model = OracleModel(feature_noise=sigma)
             total = 0.0
             for scene in scenes_for(range(100)):
-                _, _, pyramid = synth.oracle_pyramid(scene, model)
+                _, pyramid = synth.oracle_pyramid(scene, model)
                 kps, taus, _ = synth.encode_objects(scene, model.stats)
                 emb = litefpn.gather_fuse(
                     pyramid, [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in kps]
@@ -84,8 +83,8 @@ class TestOraclePyramid:
 
     def test_empty_scene_outputs(self):
         scene = synth.generate_scene(SceneSpec(seed=0, n_objects=0))
-        gt_hm, pred_hm, pyramid = synth.oracle_pyramid(scene, MODEL)
-        assert gt_hm.max() == 0.0
+        pred_hm, pyramid = synth.oracle_pyramid(scene, MODEL)
+        assert pred_hm.max() == 0.0
         assert np.isfinite(pyramid.levels[0]).all()
 
     @pytest.mark.parametrize("far_first", [False, True], ids=["near_first", "far_first"])

@@ -12,8 +12,12 @@ maps each entry name to the sha256 of one output:
   `float.hex`), the AP report (`json.dumps`) and the PR curve (`float.hex`);
 - `train/...`: `synth.toy_train` loss traces (`float.hex`) and learned heads
   (array bytes) with the L1 and the attention loss, at noise 0 and 0.05;
-- `eval/...`: the exit code, stdout and `report.json` bytes of `kp3d eval` on
-  generated KITTI-style label directory pairs, under three settings.
+- `eval/pair...`: the exit code, stdout and `report.json` bytes of `kp3d eval`
+  on generated KITTI-style label directory pairs, under three settings;
+- `eval/case/...`: `evaluation.evaluate` reports (`json.dumps`) on small
+  constructed frames that take the matcher's tie and absorb paths: two GTs
+  tied on IoU (in both GT orders), a detection that reaches only a GT already
+  taken, an ignored GT that absorbs a detection, and equal detection scores.
 
 Only the public API is used, so the script runs on older checkouts too. To
 check that a change leaves every output as it was, run it on a clone of the
@@ -157,18 +161,63 @@ def eval_entries(cli) -> dict[str, str]:
     return out
 
 
+def _case_frames(evaluation, geometry) -> dict[str, tuple[dict, dict]]:
+    """(detection frames, GT frames) per matcher case; boxes are 1.5 x 1.6 x 4.0
+    at z = 10 and yaw 0, so centers 0.5 apart along x overlap with IoU 7/9."""
+
+    def box(x):
+        return geometry.Box3D((x, 0.0, 10.0), (1.5, 1.6, 4.0), 0.0)
+
+    def det(x, score):
+        return evaluation.Detection(box(x), "Car", score)
+
+    def gt(x, bbox_height=100.0):
+        return evaluation.GroundTruth(box(x), "Car", bbox_height=bbox_height)
+
+    tied = [det(0.0, 0.9), det(1.0, 0.8)]
+    return {
+        "gt_iou_tie": ({0: tied}, {0: [gt(-0.5), gt(0.5)]}),
+        "gt_iou_tie_reversed": ({0: tied}, {0: [gt(0.5), gt(-0.5)]}),
+        "taken_gt": ({0: [det(0.0, 0.9), det(0.3, 0.8)]}, {0: [gt(0.0), gt(20.0)]}),
+        "ignored_gt_absorbs": (
+            {0: [det(0.0, 0.9), det(8.0, 0.8), det(20.0, 0.5)], 1: [det(0.0, 0.7)]},
+            {0: [gt(0.0, bbox_height=10.0), gt(8.0)], 1: [gt(0.0)]},
+        ),
+        "equal_scores": (
+            {0: [det(20.0, 0.9), det(0.0, 0.9), det(0.2, 0.9)], 1: [det(0.0, 0.9)]},
+            {0: [gt(0.0), gt(8.0)], 1: [gt(0.0)]},
+        ),
+    }
+
+
+def case_entries(evaluation, geometry) -> dict[str, str]:
+    out = {}
+    for case, (dets, gts) in _case_frames(evaluation, geometry).items():
+        for criterion, threshold, mode in (("3d", 0.7, "r11"), ("bev", 0.5, "r40")):
+            report = evaluation.evaluate(
+                dets, gts, criterion=criterion, threshold=threshold, mode=mode
+            )
+            out[f"eval/case/{case}/{criterion}{threshold}/{mode}"] = _sha(
+                json.dumps(report, sort_keys=True)
+            )
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 64
     checkout, out_path = Path(argv[0]).resolve(), Path(argv[1])
     sys.path.insert(0, str(checkout / "src"))
-    from kp3d import cli, synth
+    from kp3d import cli, evaluation, geometry, synth
 
     if not Path(synth.__file__).resolve().is_relative_to(checkout):
         print(f"kp3d was imported from {synth.__file__}, not from {checkout}", file=sys.stderr)
         return 2
-    entries = {**pipeline_entries(synth), **train_entries(synth), **eval_entries(cli)}
+    entries = {
+        **pipeline_entries(synth), **train_entries(synth), **eval_entries(cli),
+        **case_entries(evaluation, geometry),
+    }
     out_path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
     print(f"{len(entries)} entries written to {out_path}")
     return 0
