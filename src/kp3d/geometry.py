@@ -322,9 +322,12 @@ def _bev_overlap(a: np.ndarray, b: np.ndarray, live=True) -> np.ndarray:
     """BEV intersection area of aligned (M, 7) row pairs. Pairs not `live`, or
     whose bounding circles in the ground plane do not overlap, are exactly 0.0
     and skip the polygon step."""
-    reach = 0.5 * (np.hypot(a[:, 4], a[:, 5]) + np.hypot(b[:, 4], b[:, 5]))
-    dx, dz = a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]
-    rows = np.flatnonzero(live & (dx * dx + dz * dz < reach * reach))
+    # centers too far apart overflow to inf, which the comparison rejects as it should
+    with np.errstate(over="ignore"):
+        reach = 0.5 * (np.hypot(a[:, 4], a[:, 5]) + np.hypot(b[:, 4], b[:, 5]))
+        dx, dz = a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]
+        near = dx * dx + dz * dz < reach * reach
+    rows = np.flatnonzero(live & near)
     area = np.zeros(len(a))
     if rows.size:
         area[rows] = _overlap_polygon_area(a[rows], b[rows])

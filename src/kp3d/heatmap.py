@@ -32,7 +32,7 @@ class GaussianSpec:
     cls: int
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:  # NaN too
             raise ValueError("sigma must be positive")
 
 
@@ -76,20 +76,37 @@ def sigma_from_radius(radius: float) -> float:
     return (2 * math.floor(radius) + 1) / 6.0
 
 
+# exp(-x) is exactly 0.0 for x >= 745.14, so a Gaussian term vanishes where
+# d^2 / (2 sigma^2) >= 746, that is beyond sigma * sqrt(2 * 746) pixels
+_UNDERFLOW_REACH = math.sqrt(2 * 746)
+
+
 def encode_heatmap(keypoints: list[GaussianSpec], shape: HeatmapShape) -> np.ndarray:
     """Build the ground-truth heatmap: per class channel, the element-wise max
-    over all Gaussians of that class. Exactly 1 at every keypoint center."""
+    over all Gaussians of that class. Exactly 1 at every keypoint center.
+
+    Each Gaussian is evaluated only inside the square of radius
+    r = ceil(sigma * sqrt(2 * 746)) + 1 around its center, clipped to the grid.
+    This is exact, not an approximation: every cell outside the square has
+    d^2 >= (r + 1)^2 > 2 * 746 * sigma^2, where exp underflows to exactly 0.0
+    and the max leaves the cell as it is. The result is byte-identical to
+    evaluating every Gaussian over the whole grid."""
     out = np.zeros((shape.classes, shape.height, shape.width))
-    ys = np.arange(shape.height)[:, None]
-    xs = np.arange(shape.width)[None, :]
     for kp in keypoints:
         u, v = kp.center
         if not (0 <= u < shape.width and 0 <= v < shape.height):
             raise ValueError(f"keypoint {kp.center} outside {shape.width}x{shape.height} grid")
         if not 0 <= kp.cls < shape.classes:
             raise ValueError(f"class {kp.cls} out of range")
+        # no wider than the grid, so that a huge sigma still gives an integer
+        r = math.ceil(min(kp.sigma * _UNDERFLOW_REACH, shape.height + shape.width)) + 1
+        v0, v1 = max(v - r, 0), min(v + r + 1, shape.height)
+        u0, u1 = max(u - r, 0), min(u + r + 1, shape.width)
+        ys = np.arange(v0, v1)[:, None]
+        xs = np.arange(u0, u1)[None, :]
         g = np.exp(-((xs - u) ** 2 + (ys - v) ** 2) / (2.0 * kp.sigma**2))
-        np.maximum(out[kp.cls], g, out=out[kp.cls])
+        window = out[kp.cls, v0:v1, u0:u1]
+        np.maximum(window, g, out=window)
     return out
 
 

@@ -23,10 +23,16 @@ _FIELD_NAMES = [
     "height", "width", "length", "x", "y", "z", "rotation_y", "score",
 ]
 
-# the largest label dimension (m): a product of three lengths up to 1e100 stays
-# below the float maximum (1.8e308), so box volumes and IoUs stay finite, and a
-# finite y - h / 2 cannot overflow
-_MAX_DIM = 1e100
+# the label dimension range (m): a product of three lengths in [1e-100, 1e100]
+# stays a normal float (between 2.2e-308 and 1.8e308), so box areas, volumes and
+# IoUs keep full precision and stay finite, and a finite y - h / 2 cannot overflow
+_MIN_DIM, _MAX_DIM = 1e-100, 1e100
+# the largest location coordinate, in units of the box's smallest dimension:
+# y - h / 2 and y + h / 2 each round by up to |y| * 2^-53, so within the ratio
+# the height they span is off by at most 2.2e-10 of itself and a box's 3D IoU
+# with itself stays within 1e-9 of 1. At y = 1e16 m and h = 1.5 m both round
+# to one value and the IoU reads 0.
+_MAX_LOCATION_RATIO = 1e6
 
 TRAIN_SPLIT_SIZE = 3712
 VAL_SPLIT_SIZE = 3769
@@ -63,9 +69,17 @@ class KittiLabel:
         sits h/2 above (smaller y than) the bottom-center location."""
         h, w, l = self.dimensions
         for name, value in zip(("height", "width", "length"), self.dimensions):
-            if not 0 < value <= _MAX_DIM:
-                raise KittiFormatError(f"field {name!r} must be in (0, {_MAX_DIM:g}], got {value}")
+            if not _MIN_DIM <= value <= _MAX_DIM:
+                raise KittiFormatError(
+                    f"field {name!r} must be in [{_MIN_DIM:g}, {_MAX_DIM:g}], got {value}"
+                )
         x, y, z = self.location
+        limit = _MAX_LOCATION_RATIO * min(self.dimensions)
+        if max(abs(x), abs(y), abs(z)) > limit:
+            raise KittiFormatError(
+                f"field 'location' {self.location} must lie within {limit:g} of the origin"
+                f" ({_MAX_LOCATION_RATIO:g} times the smallest dimension)"
+            )
         return Box3D((x, y - h / 2, z), (h, w, l), self.rotation_y)
 
     def to_ground_truth(self, frame: int = 0) -> GroundTruth:

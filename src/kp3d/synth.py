@@ -143,6 +143,10 @@ def encode_objects(scene: Scene, stats: DecodeStats):
     return keypoints, taus, boxes
 
 
+# values per feature-noise draw (64 KB)
+_NOISE_CHUNK = 8192
+
+
 def oracle_pyramid(scene: Scene, model: OracleModel):
     """Build (predicted heatmap, feature pyramid) for a scene.
 
@@ -167,9 +171,18 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
         rhs = tau - model.head.bias - f8[v8, u8] @ w8 - f16[v16, u16] @ w16
         f4[kp[1], kp[0]], *_ = np.linalg.lstsq(w4.T, rhs, rcond=None)
     if model.feature_noise > 0:
-        f4 = f4 + model.feature_noise * rng.normal(size=f4.shape)
-        f8 = f8 + model.feature_noise * rng.normal(size=f8.shape)
-        f16 = f16 + model.feature_noise * rng.normal(size=f16.shape)
+        # in place and in chunks: the same bits as f + noise * normal, since the
+        # generator yields one stream whatever the request sizes. A whole-level
+        # draw (2 MB at 1/4) would lift the heap peak past glibc's trim
+        # threshold, and whether the next scene then page-faults would hang on
+        # the heap layout
+        for f in (f4, f8, f16):
+            flat = f.reshape(-1)
+            for start in range(0, flat.size, _NOISE_CHUNK):
+                part = flat[start : start + _NOISE_CHUNK]
+                noise = rng.normal(size=part.size)
+                noise *= model.feature_noise
+                part += noise
     pyramid = FeaturePyramid(levels=(f4, f8, f16))
 
     specs = [

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the library code:
 voxel-grid volume IoU, scalar Sutherland-Hodgman polygon-clipping IoU, a
 scalar box decoder, naive matrix multiplication, a per-detection PR-curve loop,
-brute-force threshold-enumeration average precision and per-pixel top-K local
-maxima. Deliberately slow and simple.
+brute-force threshold-enumeration average precision, per-pixel top-K local
+maxima and a whole-grid Gaussian heatmap. Deliberately slow and simple.
 """
 
 import math
@@ -66,10 +66,12 @@ def sample_iou_bev(a: Box3D, b: Box3D, resolution: int = 400) -> float:
 
 
 def polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a polygon given as an (n, 2) vertex array."""
+    """Shoelace area of a polygon given as an (n, 2) vertex array, taken about
+    its first vertex: about the camera origin, a 0.5 m box 50 m away loses
+    about 1e-12 of its area to cancellation."""
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
+    x, y = poly[:, 0] - poly[0, 0], poly[:, 1] - poly[0, 1]
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
@@ -208,3 +210,16 @@ def brute_force_topk(heatmap: np.ndarray, k: int) -> list[tuple[int, int, int, f
                     found.append((-heatmap[cls, v, u], (cls * h + v) * w + u, cls, u, v))
     found.sort()
     return [(cls, u, v, float(-neg)) for neg, _, cls, u, v in found[:k]]
+
+
+def full_grid_heatmap(keypoints, shape) -> np.ndarray:
+    """Ground-truth heatmap with every Gaussian evaluated over the whole grid:
+    per class channel, the element-wise max over that class's Gaussians."""
+    out = np.zeros((shape.classes, shape.height, shape.width))
+    ys = np.arange(shape.height)[:, None]
+    xs = np.arange(shape.width)[None, :]
+    for kp in keypoints:
+        u, v = kp.center
+        g = np.exp(-((xs - u) ** 2 + (ys - v) ** 2) / (2.0 * kp.sigma**2))
+        np.maximum(out[kp.cls], g, out=out[kp.cls])
+    return out

@@ -157,6 +157,20 @@ class TestEvalCommand:
         assert "'height'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_far_location_label_exit_3(self, tmp_path, capsys):
+        # at y = 1e16 the box height rounds away, and a detection identical to
+        # its GT used to score as an FP (3D AP 0.0, exit 0)
+        far_line = "Car 0.00 0 0.00 0 0 50 100 1.5 1.6 4.0 0 1e16 30 0"
+        gt_dir, det_dir = write_fixture(tmp_path)
+        (gt_dir / "000000.txt").write_text(far_line + "\n")
+        (det_dir / "000000.txt").write_text(far_line + " 0.9\n")
+        out = tmp_path / "report.json"
+        code = cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                         "--criterion", "3d", "--out", str(out)])
+        assert code == 3
+        assert "'location'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "gt_text, difficulty",
         [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -389,6 +390,8 @@ class TestRotatedIoUProperties:
         assert moved == pytest.approx(_iou(a, b, criterion), abs=1e-9)
 
     @given(st.lists(box_pairs(), min_size=1, max_size=5))
+    # a small box 50 m away: the oracle's shoelace has to work about a local origin
+    @example(pairs=[(Box3D((20.0, 0.0, 51.09602413107627), (1.0, 0.5, 0.5), 1.0),) * 2])
     def test_matrix_matches_clipping_oracle(self, criterion, pairs):
         dets = [a for a, _ in pairs]
         gts = [b for _, b in pairs] + [dets[0]]
@@ -419,6 +422,18 @@ class TestRotatedIoUKernel:
         a = Box3D((0, 0, 10), (1, 2, 4), 0.3)
         assert geometry.bev_intersection_area(a, Box3D((5, 0, 10), (1, 2, 4), 0.3)) == 0.0
         assert geometry.iou_3d(a, Box3D((0, 3, 10), (1, 2, 4), 0.3)) == 0.0
+
+    @pytest.mark.parametrize("criterion", ["3d", "bev"])
+    @pytest.mark.parametrize("far", [1e200, 1.7e308])
+    @pytest.mark.parametrize("axis", [0, 2], ids=["x", "z"])
+    def test_huge_center_offsets_are_zero_without_warning(self, criterion, far, axis):
+        a = np.array([0.0, 1.0, 30.0, 1.5, 1.6, 4.0, 0.2])
+        b = a.copy()
+        a[axis], b[axis] = far, -far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert geometry.rotated_iou(a, b, criterion) == 0.0
+            assert geometry.rotated_iou(b, a, criterion) == 0.0
 
     def test_broadcast_shapes(self):
         rows = geometry.box_array([Box3D((i, 0, 10), (1, 1, 1), 0.0) for i in range(3)])

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kp3d import heatmap
 from kp3d.heatmap import GaussianSpec, HeatmapShape
 
-from oracles import brute_force_topk
+from oracles import brute_force_topk, full_grid_heatmap
 
 
 SHAPE = HeatmapShape(height=48, width=80, classes=2)
@@ -61,6 +62,45 @@ def test_encode_decreases_with_distance():
 def test_encode_rejects_out_of_grid():
     with pytest.raises(ValueError):
         heatmap.encode_heatmap([GaussianSpec((100, 20), 2.0, 0)], SHAPE)
+
+
+# the synthetic scenes' grid, and the smallest and largest splat sigmas they use
+GRID = HeatmapShape(height=96, width=320, classes=1)
+SIGMA_MIN, SIGMA_MAX = 1 / 6, 5 / 6
+
+
+@st.composite
+def _splats(draw):
+    shape = HeatmapShape(draw(st.integers(1, 96)), draw(st.integers(1, 320)), draw(st.integers(1, 2)))
+    spec = st.builds(
+        GaussianSpec,
+        center=st.tuples(st.integers(0, shape.width - 1), st.integers(0, shape.height - 1)),
+        sigma=st.one_of(st.sampled_from([SIGMA_MIN, SIGMA_MAX]), st.floats(0.01, 60.0)),
+        cls=st.integers(0, shape.classes - 1),
+    )
+    return shape, draw(st.lists(spec, max_size=6))
+
+
+def _corner_and_edge_splats(sigma):
+    corners = [(0, 0), (319, 0), (0, 95), (319, 95)]
+    edges = [(160, 0), (160, 95), (0, 48), (319, 48)]
+    return [GaussianSpec(c, sigma, 0) for c in corners + edges]
+
+
+@given(_splats())
+@example((GRID, _corner_and_edge_splats(SIGMA_MIN)))
+@example((GRID, _corner_and_edge_splats(SIGMA_MAX)))
+@example((GRID, _corner_and_edge_splats(50.0)))  # each window covers the whole grid
+@example((GRID, [GaussianSpec((7, 90), SIGMA_MIN, 0), GaussianSpec((300, 3), SIGMA_MAX, 0)]))
+@example((  # two classes, and overlapping splats whose windows cross
+    HeatmapShape(96, 320, 2),
+    [GaussianSpec((100, 40), SIGMA_MAX, 0), GaussianSpec((104, 42), SIGMA_MIN, 0),
+     GaussianSpec((110, 40), 3.0, 0), GaussianSpec((100, 40), SIGMA_MAX, 1),
+     GaussianSpec((101, 41), 50.0, 1)],
+))
+def test_windowed_splat_matches_full_grid(case):
+    shape, specs = case
+    assert heatmap.encode_heatmap(specs, shape).tobytes() == full_grid_heatmap(specs, shape).tobytes()
 
 
 def test_topk_ordering():

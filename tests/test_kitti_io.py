@@ -14,6 +14,12 @@ GT_LINE = "Car 0.00 0 -1.57 100.0 120.0 200.0 180.0 1.50 1.60 3.80 -2.0 1.7 30.0
 # finite dimensions whose box volume overflows: 3D and BEV IoU of the box with
 # itself would be NaN
 HUGE_LINE = "Car 0.00 0 0.00 0 0 50 100 1e200 1e200 1e200 0 1.5 30 0"
+# a location so large that y - h / 2 and y + h / 2 round to one value: the 3D
+# IoU of the box with itself would read 0
+FAR_LINE = "Car 0.00 0 0.00 0 0 50 100 1.5 1.6 4.0 0 1e16 30 0"
+# dimensions whose footprint area is a subnormal float: the BEV IoU of the box
+# with itself would read 2/3
+TINY_LINE = "Car 0.00 0 0.00 0 0 50 100 5e-162 5e-162 5e-162 0 0 0 0"
 
 
 def _line(field: int, value: str, score: str = "") -> str:
@@ -83,6 +89,9 @@ _FIELD_VALUES = st.one_of(
 @example("Car", _line(3, "nan").split()[1:])
 @example("Car", _line(8, "1e308").replace(" 1.7 ", " -1.5e308 ").split()[1:])
 @example("Car", HUGE_LINE.split()[1:])
+@example("Car", FAR_LINE.split()[1:])
+@example("Car", (FAR_LINE + " 0.9").split()[1:])
+@example("Car", TINY_LINE.split()[1:])
 def test_fuzzed_lines_raise_only_format_errors(cls, values):
     try:
         label = kitti_io.parse_label_line(" ".join([cls, *values]))
@@ -94,11 +103,11 @@ def test_fuzzed_lines_raise_only_format_errors(cls, values):
             box = convert().box
         except KittiFormatError:
             continue
-        # a box that converts has a self-IoU in [0, 1] (not NaN), with no warning
+        # a box that converts has a self-IoU of 1, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert 0.0 <= geometry.iou_3d(box, box) <= 1.0
-            assert 0.0 <= geometry.iou_bev(box, box) <= 1.0
+            assert abs(geometry.iou_3d(box, box) - 1.0) <= 1e-9
+            assert abs(geometry.iou_bev(box, box) - 1.0) <= 1e-9
 
 
 class TestBoxConversion:
@@ -134,6 +143,25 @@ class TestBoxConversion:
         above = kitti_io.parse_label_line(_line(field, repr(math.nextafter(1e100, math.inf))))
         with pytest.raises(KittiFormatError, match=name):
             above.to_box3d()
+
+    @pytest.mark.parametrize("field, name", [(8, "'height'"), (9, "'width'"), (10, "'length'")])
+    def test_dimension_below_bound_rejected(self, field, name):
+        def at_origin(value):  # no location is too far for the smallest dimension
+            return kitti_io.parse_label_line(_line(field, value).replace(" -2.0 1.7 30.0 ", " 0 0 0 "))
+
+        assert at_origin("1e-100").to_box3d().dims[field - 8] == 1e-100
+        with pytest.raises(KittiFormatError, match=name):
+            at_origin(repr(math.nextafter(1e-100, 0.0))).to_box3d()
+
+    @pytest.mark.parametrize("field", [11, 12, 13])
+    def test_location_beyond_dimensions_rejected(self, field):
+        # the smallest dimension is 1.5 m, so a coordinate may reach 1.5e6 m
+        limit = 1.5e6
+        for value in (limit, -limit, -1000.0):  # KITTI's -1000 sentinel among them
+            kitti_io.parse_label_line(_line(field, repr(value))).to_box3d()
+        for value in (math.nextafter(limit, math.inf), -1e16):
+            with pytest.raises(KittiFormatError, match="'location'"):
+                kitti_io.parse_label_line(_line(field, repr(value))).to_box3d()
 
     @pytest.mark.parametrize("field, value", [(11, "inf"), (9, "nan"), (14, "-inf")])
     def test_non_finite_field_rejected(self, field, value):

@@ -81,6 +81,22 @@ class TestOraclePyramid:
             errors.append(total / 100)
         assert errors[1] >= errors[0]
 
+    def test_returns_fresh_arrays(self):
+        # the noise is added in place: no call may hand out or reuse a shared buffer
+        scene = synth.generate_scene(SceneSpec(seed=5, n_objects=8))
+        model = OracleModel(feature_noise=0.05)
+
+        def output_bytes(pred_hm, pyramid):
+            return [pred_hm.tobytes(), *(level.tobytes() for level in pyramid.levels)]
+
+        first = synth.oracle_pyramid(scene, model)
+        original = output_bytes(*first)
+        assert output_bytes(*synth.oracle_pyramid(scene, model)) == original
+        pred_hm, pyramid = first
+        for array in (pred_hm, *pyramid.levels):
+            array.fill(7.0)
+        assert output_bytes(*synth.oracle_pyramid(scene, model)) == original
+
     def test_empty_scene_outputs(self):
         scene = synth.generate_scene(SceneSpec(seed=0, n_objects=0))
         pred_hm, pyramid = synth.oracle_pyramid(scene, MODEL)

@@ -10,6 +10,10 @@ maps each entry name to the sha256 of one output:
   feature noise 0 and 0.05 x 5 and 20 objects), each at `3d 0.7` and
   `bev 0.5`: the detections (class, then score, center, dims and yaw as
   `float.hex`), the AP report (`json.dumps`) and the PR curve (`float.hex`);
+- `scene/...`: the bytes of `synth.oracle_pyramid`'s predicted heatmap and of
+  each feature pyramid level on 80 seeded scenes (seeds 0-19 x feature noise
+  0 and 0.05 x 5 and 20 objects). Detections only show the heatmap cells that
+  reach top-K; these entries show every cell, tails included;
 - `train/...`: `synth.toy_train` loss traces (`float.hex`) and learned heads
   (array bytes) with the L1 and the attention loss, at noise 0 and 0.05;
 - `eval/pair...`: the exit code, stdout and `report.json` bytes of `kp3d eval`
@@ -69,6 +73,20 @@ def pipeline_entries(synth) -> dict[str, str]:
                     ))
                     out[f"{key}/report"] = _sha(json.dumps(report, sort_keys=True))
                     out[f"{key}/pr_curve"] = _sha("\n".join(_hex(p) for p in report["pr_curve"]))
+    return out
+
+
+def scene_entries(synth) -> dict[str, str]:
+    out = {}
+    for seed in range(20):
+        for noise in (0.0, 0.05):
+            for n_objects in (5, 20):
+                scene = synth.generate_scene(synth.SceneSpec(seed=seed, n_objects=n_objects))
+                pred_hm, pyramid = synth.oracle_pyramid(scene, synth.OracleModel(feature_noise=noise))
+                key = f"scene/seed{seed}/noise{noise}/n{n_objects}"
+                out[f"{key}/pred_hm"] = hashlib.sha256(pred_hm.tobytes()).hexdigest()
+                for i, level in enumerate(pyramid.levels):
+                    out[f"{key}/level{i}"] = hashlib.sha256(level.tobytes()).hexdigest()
     return out
 
 
@@ -215,8 +233,8 @@ def main(argv: list[str]) -> int:
         print(f"kp3d was imported from {synth.__file__}, not from {checkout}", file=sys.stderr)
         return 2
     entries = {
-        **pipeline_entries(synth), **train_entries(synth), **eval_entries(cli),
-        **case_entries(evaluation, geometry),
+        **pipeline_entries(synth), **scene_entries(synth), **train_entries(synth),
+        **eval_entries(cli), **case_entries(evaluation, geometry),
     }
     out_path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
     print(f"{len(entries)} entries written to {out_path}")
