@@ -16,7 +16,7 @@ from .geometry import (
     project_to_image,
 )
 from .heatmap import GaussianSpec, HeatmapShape, Keypoint, encode_heatmap, gaussian_radius, topk
-from .litefpn import FeaturePyramid, RegressionHead, gather_fuse, map_indices, regress
+from .litefpn import FeaturePyramid, RegressionHead, gather_fuse, regress
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,5 @@ __all__ = [
     "FeaturePyramid",
     "RegressionHead",
     "gather_fuse",
-    "map_indices",
     "regress",
 ]

@@ -115,11 +115,11 @@ def cmd_eval(args) -> int:
         return EXIT_MISSING_INPUT
     try:
         gt_frames = {
-            fid: [l.to_ground_truth(fid) for l in labels if l.type != "DontCare"]
+            fid: [l.to_ground_truth() for l in labels if l.type != "DontCare"]
             for fid, labels in gt_frames_raw.items()
         }
         det_frames = {
-            fid: [l.to_detection(fid) for l in labels]
+            fid: [l.to_detection() for l in labels]
             for fid, labels in det_frames_raw.items()
         }
     except kitti_io.KittiFormatError as e:

@@ -43,7 +43,6 @@ class Detection:
     box: Box3D
     cls: str
     score: float
-    frame: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
@@ -57,7 +56,6 @@ class GroundTruth:
     bbox_height: float = 100.0
     occlusion: int = 0
     truncation: float = 0.0
-    frame: int = 0
 
     def __post_init__(self):
         if self.bbox_height < 0:

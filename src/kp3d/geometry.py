@@ -116,14 +116,6 @@ class CameraCalib:
     def f_v(self) -> float:
         return self.projection[1, 1]
 
-    @property
-    def c_u(self) -> float:
-        return self.projection[0, 2]
-
-    @property
-    def c_v(self) -> float:
-        return self.projection[1, 2]
-
 
 @dataclass(frozen=True)
 class DecodeStats:

@@ -1,5 +1,5 @@
-"""Parsers and serializers for KITTI object labels, calibration files and
-train/val split lists, plus directory-level dataset loading.
+"""Parsers and serializers for KITTI object labels and train/val split lists,
+plus directory-level dataset loading.
 
 Label lines are 15 whitespace-separated fields (ground truth) or 16 (detections
 carrying a trailing score). All numeric parsing is locale-independent.
@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .evaluation import Detection, GroundTruth
-from .geometry import Box3D, CameraCalib
+from .geometry import Box3D
 
 _FIELD_NAMES = [
     "type", "truncated", "occluded", "alpha",
@@ -82,7 +80,7 @@ class KittiLabel:
             )
         return Box3D((x, y - h / 2, z), (h, w, l), self.rotation_y)
 
-    def to_ground_truth(self, frame: int = 0) -> GroundTruth:
+    def to_ground_truth(self) -> GroundTruth:
         box = self.to_box3d()
         try:
             return GroundTruth(
@@ -91,17 +89,16 @@ class KittiLabel:
                 bbox_height=self.bbox_height,
                 occlusion=self.occluded,
                 truncation=self.truncated,
-                frame=frame,
             )
         except ValueError as e:  # a truncation outside [0, 1] or a negative box height
             raise KittiFormatError(str(e)) from None
 
-    def to_detection(self, frame: int = 0) -> Detection:
+    def to_detection(self) -> Detection:
         if self.score is None:
             raise KittiFormatError("label has no score field; not a detection")
         if not 0.0 <= self.score <= 1.0:
             raise KittiFormatError(f"field 'score' must be in [0, 1], got {self.score}")
-        return Detection(box=self.to_box3d(), cls=self.type, score=self.score, frame=frame)
+        return Detection(box=self.to_box3d(), cls=self.type, score=self.score)
 
 
 def parse_label_line(line: str, lineno: int | None = None) -> KittiLabel:
@@ -183,22 +180,6 @@ def box_label(box: Box3D, cls: str, score: float | None = None) -> KittiLabel:
 def serialize_detection(det: Detection) -> str:
     """Serialize a Detection in the 16-field KITTI detection format."""
     return serialize_label(box_label(det.box, det.cls, det.score))
-
-
-def parse_calib(text: str) -> CameraCalib:
-    """Read the P2 projection matrix from a KITTI calibration file."""
-    for line in text.splitlines():
-        key, _, rest = line.partition(":")
-        if key.strip() == "P2":
-            values = rest.split()
-            if len(values) != 12:
-                raise KittiFormatError(f"P2 must have 12 values, got {len(values)}")
-            try:
-                matrix = np.array([float(v) for v in values]).reshape(3, 4)
-            except ValueError:
-                raise KittiFormatError("non-numeric value in P2 line")
-            return CameraCalib(matrix)
-    raise KittiFormatError("missing P2 line in calibration file")
 
 
 def load_label_dir(path: str | Path) -> dict[int, list[KittiLabel]]:

@@ -49,13 +49,6 @@ class RegressionHead:
             raise ValueError("head parameters must be finite")
 
 
-def _factor(stride: int) -> int:
-    """Index divisor from the 1/4 grid to the level at `stride` (4, 8 or 16)."""
-    if stride not in STRIDES:
-        raise ValueError(f"level stride must be one of {STRIDES}")
-    return stride // 4
-
-
 def _take(grid: np.ndarray, uv: np.ndarray, what: str) -> np.ndarray:
     """Rows grid[v, u] for a (2, K) index array, raising IndexError on any index
     outside the grid instead of letting negative indices wrap."""
@@ -73,23 +66,15 @@ def _keypoint_uv(keypoints: list[Keypoint]) -> np.ndarray:
     return np.array([[kp.u for kp in keypoints], [kp.v for kp in keypoints]], dtype=np.intp)
 
 
-def map_indices(indices, level: int):
-    """Map (u, v) indices from the 1/4 grid to a coarser level by floor division.
-
-    `level` is the stride: 4 (identity), 8 or 16.
-    """
-    factor = _factor(level)
-    return [(u // factor, v // factor) for u, v in indices]
-
-
 def gather_fuse(pyramid: FeaturePyramid, keypoints: list[Keypoint]) -> np.ndarray:
     """Concatenate per-keypoint features from the three levels, finest first.
 
-    Returns a (K, 3D) embedding; row order follows the keypoint order.
+    A 1/4-grid index (u, v) reads (u // 2, v // 2) at 1/8 and (u // 4, v // 4)
+    at 1/16. Returns a (K, 3D) embedding; row order follows the keypoint order.
     """
     uv = _keypoint_uv(keypoints)
     blocks = [
-        _take(level, uv // _factor(stride), f"stride-{stride} index")
+        _take(level, uv // (stride // 4), f"stride-{stride} index")
         for level, stride in zip(pyramid.levels, STRIDES)
     ]
     return np.concatenate(blocks, axis=1, dtype=float)

@@ -143,6 +143,12 @@ def encode_objects(scene: Scene, stats: DecodeStats):
     return keypoints, taus, boxes
 
 
+def _keypoint_index(keypoints):
+    """The (u, v) cells as `Keypoint`s for `gather_fuse`, plus their u and v index arrays."""
+    u, v = np.array(keypoints, dtype=np.intp).reshape(-1, 2).T
+    return [Keypoint(cls=0, u=a, v=b, score=1.0) for a, b in keypoints], u, v
+
+
 # values per feature-noise draw (64 KB)
 _NOISE_CHUNK = 8192
 
@@ -160,16 +166,16 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
     f4 = rng.normal(size=(shape.height, shape.width, d))
     f8 = rng.normal(size=(shape.height // 2, shape.width // 2, d))
     f16 = rng.normal(size=(shape.height // 4, shape.width // 4, d))
+    pyramid = FeaturePyramid(levels=(f4, f8, f16))
 
     keypoints, taus, boxes = encode_objects(scene, model.stats)
-    w4 = model.head.weights[:d]
-    w8 = model.head.weights[d : 2 * d]
-    w16 = model.head.weights[2 * d :]
-    for kp, tau in zip(keypoints, taus):
-        (u8, v8), = litefpn.map_indices([kp], 8)
-        (u16, v16), = litefpn.map_indices([kp], 16)
-        rhs = tau - model.head.bias - f8[v8, u8] @ w8 - f16[v16, u16] @ w16
-        f4[kp[1], kp[0]], *_ = np.linalg.lstsq(w4.T, rhs, rcond=None)
+    kp_objs, u, v = _keypoint_index(keypoints)
+    # every keypoint's 1/4 cell x in one solve, W4 being 8 x 8 and full rank:
+    # x @ W4 = tau - b - [f8 f16] @ [W8; W16]
+    head = model.head
+    coarse = litefpn.gather_fuse(pyramid, kp_objs)[:, d:]
+    rhs = taus - head.bias - coarse @ head.weights[d:]
+    f4[v, u] = np.linalg.solve(head.weights[:d].T, rhs.T).T
     if model.feature_noise > 0:
         # in place and in chunks: the same bits as f + noise * normal, since the
         # generator yields one stream whatever the request sizes. A whole-level
@@ -183,7 +189,6 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
                 noise = rng.normal(size=part.size)
                 noise *= model.feature_noise
                 part += noise
-    pyramid = FeaturePyramid(levels=(f4, f8, f16))
 
     specs = [
         GaussianSpec(center=kp, sigma=_splat_sigma(box), cls=0)
@@ -192,12 +197,8 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
     pred_hm = heatmap.encode_heatmap(specs, shape)
     if model.feature_noise == 0:
         return pred_hm, pyramid  # nothing degrades the scores
-    kp_objs = [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in keypoints]
-    emb = litefpn.gather_fuse(pyramid, kp_objs)
-    # regress row by row: a batched matmul may round differently
-    for row, kp, tau in zip(emb, keypoints, taus):
-        err = float(np.abs(litefpn.regress(row[None], model.head)[0] - tau).sum())
-        pred_hm[0, kp[1], kp[0]] = min(max(1.0 - err, 0.0), 1.0)
+    err = np.abs(litefpn.regress(litefpn.gather_fuse(pyramid, kp_objs), head) - taus).sum(axis=1)
+    pred_hm[0, v, u] = np.clip(1.0 - err, 0.0, 1.0)
     return pred_hm, pyramid
 
 
@@ -245,12 +246,13 @@ def training_data(scenes: list[Scene], model: OracleModel):
     for scene in scenes:
         pred_hm, pyramid = oracle_pyramid(scene, model)
         keypoints, taus, kept = encode_objects(scene, model.stats)
-        kp_objs = [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in keypoints]
+        kp_objs, u, v = _keypoint_index(keypoints)
         embeddings.append(litefpn.gather_fuse(pyramid, kp_objs))
         targets.append(taus)
         boxes.extend(b for b, _ in kept)
         kps.extend(keypoints)
-        scores.extend(float(pred_hm[0, v, u]) for u, v in keypoints)
+        scores.append(pred_hm[0, v, u])
+        del pred_hm, pyramid  # free this scene's grids before the next is built
     if not embeddings:
         raise ValueError("no training keypoints")
     return (
@@ -258,7 +260,7 @@ def training_data(scenes: list[Scene], model: OracleModel):
         np.concatenate(targets),
         boxes,
         kps,
-        np.array(scores),
+        np.concatenate(scores),
     )
 
 

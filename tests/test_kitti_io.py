@@ -126,9 +126,8 @@ class TestBoxConversion:
             label.to_ground_truth()
 
     def test_ground_truth_carries_difficulty_inputs(self):
-        g = kitti_io.parse_label_line(GT_LINE).to_ground_truth(frame=7)
+        g = kitti_io.parse_label_line(GT_LINE).to_ground_truth()
         assert g.bbox_height == 60.0
-        assert g.frame == 7
 
     def test_overflowing_center_rejected(self):
         # finite fields whose box center y - h / 2 would overflow to -inf: the
@@ -203,28 +202,6 @@ class TestSerialization:
         once = kitti_io.serialize_label(label)
         twice = kitti_io.serialize_label(kitti_io.parse_label_line(once))
         assert once == twice
-
-
-class TestParseCalib:
-    def test_p2_line(self):
-        calib = kitti_io.parse_calib("P2: 700 0 600 0 0 700 180 0 0 0 1 0")
-        assert calib.f_u == 700.0
-        assert calib.c_u == 600.0
-        assert calib.c_v == 180.0
-
-    def test_p2_selected_among_others(self):
-        text = "\n".join(
-            f"P{i}: {100 * (i + 1)} 0 600 0 0 {100 * (i + 1)} 180 0 0 0 1 0" for i in range(4)
-        )
-        assert kitti_io.parse_calib(text).f_u == 300.0
-
-    def test_empty_file_rejected(self):
-        with pytest.raises(KittiFormatError, match="missing P2"):
-            kitti_io.parse_calib("")
-
-    def test_wrong_value_count(self):
-        with pytest.raises(KittiFormatError, match="12 values"):
-            kitti_io.parse_calib("P2: 1 2 3")
 
 
 class TestDirectoryLoading:

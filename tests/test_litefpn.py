@@ -25,22 +25,6 @@ def kp(u, v, score=1.0):
     return Keypoint(cls=0, u=u, v=v, score=score)
 
 
-def test_map_indices_paper_example():
-    assert litefpn.map_indices([(100, 60)], 8) == [(50, 30)]
-    assert litefpn.map_indices([(100, 60)], 16) == [(25, 15)]
-
-
-def test_map_indices_floor_rounding():
-    assert litefpn.map_indices([(101, 61)], 8) == [(50, 30)]
-
-
-def test_map_indices_origin_and_identity():
-    assert litefpn.map_indices([(0, 0)], 4) == [(0, 0)]
-    assert litefpn.map_indices([(0, 0)], 8) == [(0, 0)]
-    assert litefpn.map_indices([(0, 0)], 16) == [(0, 0)]
-    assert litefpn.map_indices([(7, 9)], 4) == [(7, 9)]
-
-
 @given(st.integers(min_value=0, max_value=10**9))
 def test_scale_composition_coherence(u):
     assert (u // 2) // 2 == u // 4
@@ -60,14 +44,21 @@ def test_gather_empty_keypoints():
 
 
 def test_gather_first_block_is_fine_level_pixel():
-    rng = np.random.default_rng(1)
-    pyr = make_pyramid(rng)
-    kps = [kp(5, 3), kp(20, 11), kp(0, 0)]
-    emb = litefpn.gather_fuse(pyr, kps)
-    for row, k in zip(emb, kps):
-        assert np.array_equal(row[:6], pyr.levels[0][k.v, k.u])
-        assert np.array_equal(row[6:12], pyr.levels[1][k.v // 2, k.u // 2])
-        assert np.array_equal(row[12:], pyr.levels[2][k.v // 4, k.u // 4])
+    # (1/4-grid keypoint, its 1/8 cell, its 1/16 cell): the paper's example,
+    # floor rounding, the origin
+    cases = [
+        ((100, 60), (50, 30), (25, 15)),
+        ((101, 61), (50, 30), (25, 15)),
+        ((0, 0), (0, 0), (0, 0)),
+        ((5, 3), (2, 1), (1, 0)),
+        ((20, 11), (10, 5), (5, 2)),
+    ]
+    pyr = make_pyramid(np.random.default_rng(1), h4=64, w4=104)
+    emb = litefpn.gather_fuse(pyr, [kp(u, v) for (u, v), _, _ in cases])
+    for row, ((u, v), (u8, v8), (u16, v16)) in zip(emb, cases):
+        assert np.array_equal(row[:6], pyr.levels[0][v, u])
+        assert np.array_equal(row[6:12], pyr.levels[1][v8, u8])
+        assert np.array_equal(row[12:], pyr.levels[2][v16, u16])
 
 
 def test_gather_order_equivariant():

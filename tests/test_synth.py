@@ -81,6 +81,24 @@ class TestOraclePyramid:
             errors.append(total / 100)
         assert errors[1] >= errors[0]
 
+    def test_noisy_scores_are_regression_error_at_keypoints_only(self):
+        scene = synth.generate_scene(SceneSpec(seed=6, n_objects=20))
+        model = OracleModel(feature_noise=0.05)
+        pred_hm, pyramid = synth.oracle_pyramid(scene, model)
+        clean_hm, _ = synth.oracle_pyramid(scene, MODEL)
+        kps, taus, _ = synth.encode_objects(scene, model.stats)
+        emb = litefpn.gather_fuse(
+            pyramid, [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in kps]
+        )
+        err = np.abs(litefpn.regress(emb, model.head) - taus).sum(axis=1)
+        expected = np.clip(1.0 - err, 0.0, 1.0)
+        assert ((expected > 0.0) & (expected < 1.0)).any()
+        u, v = np.array(kps).T
+        assert np.abs(pred_hm[0, v, u] - expected).max() <= 1e-12
+        elsewhere = np.ones(pred_hm.shape, dtype=bool)
+        elsewhere[0, v, u] = False
+        assert np.array_equal(pred_hm[elsewhere], clean_hm[elsewhere])
+
     def test_returns_fresh_arrays(self):
         # the noise is added in place: no call may hand out or reuse a shared buffer
         scene = synth.generate_scene(SceneSpec(seed=5, n_objects=8))
