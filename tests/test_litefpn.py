@@ -44,21 +44,37 @@ def test_gather_empty_keypoints():
 
 
 def test_gather_first_block_is_fine_level_pixel():
-    # (1/4-grid keypoint, its 1/8 cell, its 1/16 cell): the paper's example,
-    # floor rounding, the origin
-    cases = [
-        ((100, 60), (50, 30), (25, 15)),
-        ((101, 61), (50, 30), (25, 15)),
-        ((0, 0), (0, 0), (0, 0)),
-        ((5, 3), (2, 1), (1, 0)),
-        ((20, 11), (10, 5), (5, 2)),
-    ]
+    rng = np.random.default_rng(1)
+    pyr = make_pyramid(rng)
+    kps = [kp(5, 3), kp(20, 11), kp(0, 0)]
+    emb = litefpn.gather_fuse(pyr, kps)
+    for row, k in zip(emb, kps):
+        assert np.array_equal(row[:6], pyr.levels[0][k.v, k.u])
+        assert np.array_equal(row[6:12], pyr.levels[1][k.v // 2, k.u // 2])
+        assert np.array_equal(row[12:], pyr.levels[2][k.v // 4, k.u // 4])
+
+
+def assert_gathers_cells(uv, uv8, uv16):
+    """The keypoint at 1/4-grid `uv` reads the 1/8 cell `uv8` and the 1/16 cell `uv16`."""
+    (u, v), (u8, v8), (u16, v16) = uv, uv8, uv16
     pyr = make_pyramid(np.random.default_rng(1), h4=64, w4=104)
-    emb = litefpn.gather_fuse(pyr, [kp(u, v) for (u, v), _, _ in cases])
-    for row, ((u, v), (u8, v8), (u16, v16)) in zip(emb, cases):
-        assert np.array_equal(row[:6], pyr.levels[0][v, u])
-        assert np.array_equal(row[6:12], pyr.levels[1][v8, u8])
-        assert np.array_equal(row[12:], pyr.levels[2][v16, u16])
+    (row,) = litefpn.gather_fuse(pyr, [kp(u, v)])
+    assert np.array_equal(row[:6], pyr.levels[0][v, u])
+    assert np.array_equal(row[6:12], pyr.levels[1][v8, u8])
+    assert np.array_equal(row[12:], pyr.levels[2][v16, u16])
+
+
+def test_map_indices_paper_example():
+    assert_gathers_cells((100, 60), (50, 30), (25, 15))
+
+
+def test_map_indices_floor_rounding():
+    assert_gathers_cells((101, 61), (50, 30), (25, 15))
+
+
+def test_map_indices_origin_and_identity():
+    assert_gathers_cells((0, 0), (0, 0), (0, 0))
+    assert_gathers_cells((7, 9), (3, 4), (1, 2))
 
 
 def test_gather_order_equivariant():
