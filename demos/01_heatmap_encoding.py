@@ -13,9 +13,9 @@ from kp3d.heatmap import GaussianSpec, HeatmapShape
 
 rng = np.random.default_rng(0)
 
-# The radius shrinks with the required overlap and grows with the footprint.
+# The radius (at CenterNet's 0.7 overlap) grows with the footprint.
 for wh in [(24, 24), (60, 30), (120, 80)]:
-    r = heatmap.gaussian_radius(wh[0], wh[1], min_overlap=0.7)
+    r = heatmap.gaussian_radius(wh[0], wh[1])
     print(f"footprint {wh}: radius {r:.2f}, sigma {heatmap.sigma_from_radius(r):.3f}")
 
 shape = HeatmapShape(height=24, width=32, classes=2)

@@ -9,6 +9,7 @@ from .evaluation import Detection, GroundTruth
 
 _GT_STYLE = 'fill="none" stroke="#c62828" stroke-width="0.25"'
 _DET_STYLE = 'fill="none" stroke="#1565c0" stroke-width="0.25" stroke-dasharray="0.8,0.5"'
+_X_RANGE, _Z_RANGE = (-30.0, 30.0), (0.0, 70.0)  # m; synthetic objects lie in |x| <= 18, z <= 55
 
 
 def _polygon(points, style: str) -> str:
@@ -16,16 +17,11 @@ def _polygon(points, style: str) -> str:
     return f'  <polygon points="{coords}" {style} />'
 
 
-def bev_svg(
-    gts: list[GroundTruth],
-    dets: list[Detection],
-    x_range: tuple[float, float] = (-30.0, 30.0),
-    z_range: tuple[float, float] = (0.0, 70.0),
-) -> str:
+def bev_svg(gts: list[GroundTruth], dets: list[Detection]) -> str:
     """Render GT boxes (solid red) and detections (dashed blue) as an SVG
     string. The viewport is metric: x right, z up the page."""
-    x0, x1 = x_range
-    z0, z1 = z_range
+    x0, x1 = _X_RANGE
+    z0, z1 = _Z_RANGE
     width, height = x1 - x0, z1 - z0
 
     def to_page(x: float, z: float) -> tuple[float, float]:

@@ -3,13 +3,15 @@ gradient checks.
 
 Exit codes: 0 ok, 2 missing input (a missing directory or detection file, or
 no ground truth of the evaluated class at the evaluated difficulty), 3 parse
-error, 4 bench gate failure, 5 gradcheck failure, 64 usage error.
+error, 4 bench gate failure, 5 gradcheck failure, 64 usage error (an unknown
+flag, or a numeric flag that is malformed or out of range).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,6 +31,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(kind, low, high=math.inf, low_open=False):
+    """argparse type: a finite `kind` value in [low, high], or in (low, high] if `low_open`."""
+    want = f"{'an integer' if kind is int else 'a finite number'} {'>' if low_open else '>='} {low}"
+    want += f" and <= {high}" if high < math.inf else ""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # fails every comparison below
+        above = low < value if low_open else low <= value
+        if not (above and value <= high and value != math.inf):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+
+    return parse
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -55,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt-dir", required=True)
     p.add_argument("--det-dir", required=True)
     p.add_argument("--criterion", choices=["3d", "bev"], default="3d")
-    p.add_argument("--iou", type=float, default=0.7)
+    p.add_argument("--iou", type=_ranged(float, 0, 1, low_open=True), default=0.7)
     p.add_argument("--mode", choices=["r11", "r40"], default="r11")
     p.add_argument("--class", dest="cls", default="Car")
     p.add_argument("--difficulty", choices=["easy", "moderate", "hard"], default="hard")
@@ -70,29 +90,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", type=int, default=8)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--reps", type=int, default=30)
-    p.add_argument("--min-speedup", type=float, default=10.0, help="0 reports without the gate")
+    p.add_argument("--min-speedup", type=_ranged(float, 0), default=10.0,
+                   help="0 reports without the gate")
     p.add_argument("--out", default="bench.csv")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("demo", help="synthetic end-to-end pipeline with BEV plots")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-scenes", type=int, default=5)
-    p.add_argument("--n-objects", type=int, default=5)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--seed", type=_ranged(int, 0), default=0)
+    p.add_argument("--n-scenes", type=_ranged(int, 1), default=5)
+    p.add_argument("--n-objects", type=_ranged(int, 1), default=5)
+    p.add_argument("--noise", type=_ranged(float, 0), default=0.0)
     p.add_argument("--loss", choices=["l1", "attention"], default="l1")
-    p.add_argument("--beta-attn", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--beta-attn", type=_ranged(float, 0), default=0.5)
+    p.add_argument("--epochs", type=_ranged(int, 0), default=200)
+    p.add_argument("--k", type=_ranged(int, 0), default=100)
     p.add_argument("--criterion", choices=["3d", "bev"], default="3d")
-    p.add_argument("--iou", type=float, default=0.7)
+    p.add_argument("--iou", type=_ranged(float, 0, 1, low_open=True), default=0.7)
     p.add_argument("--mode", choices=["r11", "r40"], default="r11")
     p.add_argument("--out-dir", default="demo_out")
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("gradcheck", help="verify loss gradients against central differences")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_ranged(int, 1), default=100)
+    p.add_argument("--step", type=_ranged(float, 0, low_open=True), default=1e-5)
+    p.add_argument("--seed", type=_ranged(int, 0), default=0)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

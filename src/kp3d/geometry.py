@@ -62,11 +62,6 @@ class Box3D:
             raise ValueError(f"box dimensions must be positive, got {self.dims}")
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
-    @property
-    def volume(self) -> float:
-        h, w, l = self.dims
-        return h * w * l
-
     def bev_corners(self) -> np.ndarray:
         """4x2 corners (x, z) of the rotated rectangle in the ground plane,
         counter-clockwise. Length l runs along the heading direction."""
@@ -171,8 +166,6 @@ def encode_box(box: Box3D, cls: str, calib: CameraCalib, stats: DecodeStats):
     Tuple layout: (dz, du, dv, dh, dw, dl, sin_alpha, cos_alpha).
     """
     x, y, z = box.center
-    if z <= 0:
-        raise ValueError("point behind camera")
     u, v = project_to_image(box.center, calib)
     ku, kv = math.floor(u / DOWNSAMPLE), math.floor(v / DOWNSAMPLE)
     du, dv = u / DOWNSAMPLE - ku, v / DOWNSAMPLE - kv

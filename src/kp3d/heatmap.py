@@ -44,29 +44,30 @@ class Keypoint:
     score: float
 
 
-def gaussian_radius(box_height: float, box_width: float, min_overlap: float = 0.7) -> float:
-    """Splat radius guaranteeing at least `min_overlap` IoU between a box and
-    any box whose corners are shifted by the radius: the minimum over the
-    three corner-displacement quadratics."""
+_MIN_OVERLAP = 0.7  # CenterNet's overlap for the splat radius
+
+
+def gaussian_radius(box_height: float, box_width: float) -> float:
+    """Splat radius guaranteeing at least 0.7 IoU between a box and any box
+    whose corners are shifted by the radius: the minimum over the three
+    corner-displacement quadratics."""
     if box_height <= 0 or box_width <= 0:
         raise ValueError("box size must be positive")
-    if not 0 < min_overlap < 1:
-        raise ValueError("min_overlap must be in (0, 1)")
     h, w = box_height, box_width
 
     a1 = 1.0
     b1 = h + w
-    c1 = w * h * (1 - min_overlap) / (1 + min_overlap)
+    c1 = w * h * (1 - _MIN_OVERLAP) / (1 + _MIN_OVERLAP)
     r1 = (b1 - math.sqrt(b1 * b1 - 4 * a1 * c1)) / (2 * a1)
 
     a2 = 4.0
     b2 = 2 * (h + w)
-    c2 = (1 - min_overlap) * w * h
+    c2 = (1 - _MIN_OVERLAP) * w * h
     r2 = (b2 - math.sqrt(b2 * b2 - 4 * a2 * c2)) / (2 * a2)
 
-    a3 = 4.0 * min_overlap
-    b3 = -2.0 * min_overlap * (h + w)
-    c3 = (min_overlap - 1) * w * h
+    a3 = 4.0 * _MIN_OVERLAP
+    b3 = -2.0 * _MIN_OVERLAP * (h + w)
+    c3 = (_MIN_OVERLAP - 1) * w * h
     r3 = (b3 + math.sqrt(b3 * b3 - 4 * a3 * c3)) / (2 * a3)
 
     return min(r1, r2, r3)
@@ -133,10 +134,9 @@ def topk(heatmap: np.ndarray, k: int) -> list[Keypoint]:
     """
     if k < 1:
         return []
-    flat_idx = np.flatnonzero(_local_maxima(heatmap))
+    flat_idx = np.flatnonzero(_local_maxima(heatmap))  # ascending
     scores = heatmap.ravel()[flat_idx]
-    # stable sort on (-score, flat index)
-    order = np.lexsort((flat_idx, -scores))[:k]
+    order = np.argsort(-scores, kind="stable")[:k]  # stable: ties keep index order
     cls, v, u = np.unravel_index(flat_idx[order], heatmap.shape)
     rows = zip(cls.tolist(), u.tolist(), v.tolist(), scores[order].tolist())
     return [Keypoint(cls=c, u=x, v=y, score=s) for c, x, y, s in rows]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .evaluation import Detection, GroundTruth
-from .geometry import Box3D
+from .geometry import Box3D, normalize_angle
 
 _FIELD_NAMES = [
     "type", "truncated", "occluded", "alpha",
@@ -160,7 +160,7 @@ def box_label(box: Box3D, cls: str, score: float | None = None) -> KittiLabel:
     detection label when `score` is given.
 
     The 2D bbox is not part of the 3D pipeline and is written as a zero box;
-    alpha is yaw - atan2(x, z).
+    alpha is yaw - atan2(x, z), wrapped to KITTI's (-pi, pi].
     """
     x, cy, z = box.center
     h, w, l = box.dims
@@ -168,7 +168,7 @@ def box_label(box: Box3D, cls: str, score: float | None = None) -> KittiLabel:
         type=cls,
         truncated=0.0,
         occluded=0,
-        alpha=box.yaw - math.atan2(x, z),
+        alpha=normalize_angle(box.yaw - math.atan2(x, z)),
         bbox=(0.0, 0.0, 0.0, 0.0),
         dimensions=(h, w, l),
         location=(x, cy + h / 2, z),

@@ -14,16 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PRED_CLAMP = 1e-7
-
-
-@dataclass(frozen=True)
-class FocalParams:
-    alpha: float = 2.0
-    beta: float = 4.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("focal exponents must be non-negative")
+_ALPHA, _BETA = 2.0, 4.0  # CenterNet's focal exponents
 
 
 @dataclass(frozen=True)
@@ -73,13 +64,14 @@ class LossBatch:
         return self.tau_pred.shape[0]
 
 
-def focal_loss(pred: np.ndarray, gt: np.ndarray, params: FocalParams = FocalParams(), n: int = 1):
+def focal_loss(pred: np.ndarray, gt: np.ndarray, n: int = 1):
     """Penalty-reduced pixel-wise focal loss over a full heatmap.
 
     Positive pixels (gt == 1) contribute -(1-p)^alpha log p; all others
-    contribute -(1-gt)^beta p^alpha log(1-p). The sum is divided by the
-    keypoint count n. Predictions are clamped to [1e-7, 1 - 1e-7] before the
-    logs; the returned gradient is w.r.t. the clamped prediction.
+    contribute -(1-gt)^beta p^alpha log(1-p), with alpha = 2 and beta = 4.
+    The sum is divided by the keypoint count n. Predictions are clamped to
+    [1e-7, 1 - 1e-7] before the logs; the returned gradient is w.r.t. the
+    clamped prediction.
     """
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
@@ -87,7 +79,7 @@ def focal_loss(pred: np.ndarray, gt: np.ndarray, params: FocalParams = FocalPara
         raise ValueError("n must be >= 1")
     p = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
     pos = gt == 1.0
-    a, b = params.alpha, params.beta
+    a, b = _ALPHA, _BETA
 
     grad = np.empty_like(p)
     log_p = np.log(p, where=pos, out=np.zeros_like(p))

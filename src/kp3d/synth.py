@@ -87,6 +87,10 @@ class OracleModel:
     head: ClassVar[RegressionHead] = _planted_head()
     stats: ClassVar[DecodeStats] = _STATS
 
+    def __post_init__(self):
+        if not (math.isfinite(self.feature_noise) and self.feature_noise >= 0):
+            raise ValueError(f"feature_noise must be finite and >= 0, got {self.feature_noise!r}")
+
 
 def generate_scene(spec: SceneSpec) -> Scene:
     """Deterministically sample boxes whose projected centers land inside the
@@ -125,12 +129,12 @@ def _splat_sigma(box: Box3D) -> float:
     return heatmap.sigma_from_radius(max(radius, 0.0))
 
 
-def encode_objects(scene: Scene, stats: DecodeStats):
+def encode_objects(scene: Scene):
     """Encode every object; on a quarter-grid keypoint collision the nearer
     object wins and a warning is recorded. Returns (keypoints, taus, boxes)."""
     by_kp = {}
     for box, cls in scene.objects:
-        kp, tau = geometry.encode_box(box, cls, CALIB, stats)
+        kp, tau = geometry.encode_box(box, cls, CALIB, _STATS)
         if kp in by_kp:
             warnings.warn(f"keypoint collision at {kp}; keeping nearer object")
             if by_kp[kp][2].center[2] <= box.center[2]:
@@ -168,7 +172,7 @@ def oracle_pyramid(scene: Scene, model: OracleModel):
     f16 = rng.normal(size=(shape.height // 4, shape.width // 4, d))
     pyramid = FeaturePyramid(levels=(f4, f8, f16))
 
-    keypoints, taus, boxes = encode_objects(scene, model.stats)
+    keypoints, taus, boxes = encode_objects(scene)
     kp_objs, u, v = _keypoint_index(keypoints)
     # every keypoint's 1/4 cell x in one solve, W4 being 8 x 8 and full rank:
     # x @ W4 = tau - b - [f8 f16] @ [W8; W16]
@@ -221,15 +225,13 @@ def run_pipeline(
     head = regress_head if regress_head is not None else model.head
     pred_hm, pyramid = oracle_pyramid(scene, model)
     candidates = heatmap.topk(pred_hm, k)
-    dets = []
-    if candidates:
-        taus = litefpn.regress(litefpn.gather_fuse(pyramid, candidates), head)
-        uv = [(kp.u, kp.v) for kp in candidates]
-        rows, ok = geometry.decode_rows(taus, uv, "Car", CALIB, model.stats)
-        dets = [
-            Detection(Box3D(tuple(r[:3]), tuple(r[3:6]), r[6]), "Car", candidates[i].score)
-            for i, r in zip(np.flatnonzero(ok).tolist(), rows[ok].tolist())
-        ]
+    taus = litefpn.regress(litefpn.gather_fuse(pyramid, candidates), head)
+    uv = [(kp.u, kp.v) for kp in candidates]
+    rows, ok = geometry.decode_rows(taus, uv, "Car", CALIB, model.stats)
+    dets = [
+        Detection(Box3D(tuple(r[:3]), tuple(r[3:6]), r[6]), "Car", candidates[i].score)
+        for i, r in zip(np.flatnonzero(ok).tolist(), rows[ok].tolist())
+    ]
     gts = [GroundTruth(box=box, cls=cls) for box, cls in scene.objects]
     report = evaluation.evaluate(
         {0: dets}, {0: gts}, cls="Car",
@@ -245,7 +247,7 @@ def training_data(scenes: list[Scene], model: OracleModel):
     embeddings, targets, boxes, kps, scores = [], [], [], [], []
     for scene in scenes:
         pred_hm, pyramid = oracle_pyramid(scene, model)
-        keypoints, taus, kept = encode_objects(scene, model.stats)
+        keypoints, taus, kept = encode_objects(scene)
         kp_objs, u, v = _keypoint_index(keypoints)
         embeddings.append(litefpn.gather_fuse(pyramid, kp_objs))
         targets.append(taus)
@@ -253,7 +255,7 @@ def training_data(scenes: list[Scene], model: OracleModel):
         kps.extend(keypoints)
         scores.append(pred_hm[0, v, u])
         del pred_hm, pyramid  # free this scene's grids before the next is built
-    if not embeddings:
+    if not kps:
         raise ValueError("no training keypoints")
     return (
         np.concatenate(embeddings),
@@ -269,17 +271,15 @@ def toy_train(
     model: OracleModel,
     loss: str = "l1",
     epochs: int = 200,
-    step: float = 1.0,
     attention_params=None,
-    init: RegressionHead | None = None,
 ):
-    """Fit a fresh regression head by full-batch subgradient descent.
+    """Fit a fresh regression head by full-batch subgradient descent from zero.
 
     Only the linear head is trained; features stay fixed. Descent runs in an
     SVD-whitened parameterization of the embedding (a fixed linear
-    preconditioner, computed once) with a Polyak-style step (loss over squared
-    gradient norm, scaled by `step`); on the zero-noise interpolation problem
-    this converges linearly.
+    preconditioner, computed once) with a Polyak step (loss over squared
+    gradient norm); on the zero-noise interpolation problem this converges
+    linearly.
 
     Returns (learned RegressionHead, loss trace).
     """
@@ -297,10 +297,7 @@ def toy_train(
     u_mat, sing, vt = np.linalg.svd(design, full_matrices=False)
     keep = sing > sing[0] * 1e-12
     u_mat, sing, vt = u_mat[:, keep], sing[keep], vt[keep]
-    if init is not None:
-        w = (sing[:, None]) * (vt @ np.concatenate([init.weights, init.bias[None, :]], axis=0))
-    else:
-        w = np.zeros((sing.size, R_TUPLE))
+    w = np.zeros((sing.size, R_TUPLE))
     gt_rows = geometry.box_array(gt_boxes)
     trace = []
     for _ in range(epochs):
@@ -317,11 +314,11 @@ def toy_train(
         value, grad = losses.attention_loss(batch, weights)
         trace.append(value)
         if value > 1e6:
-            raise RuntimeError("step size too large")
+            raise RuntimeError("training diverged: loss above 1e6")
         gw = u_mat.T @ grad
         norm_sq = float((gw**2).sum())
         if norm_sq == 0.0:
             break  # at a planted optimum
-        w -= step * value / norm_sq * gw
+        w -= value / norm_sq * gw
     full = vt.T @ (w / sing[:, None])
     return RegressionHead(weights=full[:-1], bias=full[-1]), trace

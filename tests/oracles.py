@@ -111,7 +111,7 @@ def clip_iou(a: Box3D, b: Box3D, criterion: str = "3d") -> float:
     if criterion == "3d":
         (a_lo, a_hi), (b_lo, b_hi) = a.y_extent(), b.y_extent()
         inter *= max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
-        union = a.volume + b.volume - inter
+        union = math.prod(a.dims) + math.prod(b.dims) - inter  # h * w * l each
     else:
         union = a.dims[1] * a.dims[2] + b.dims[1] * b.dims[2] - inter
     if union <= 0:

@@ -369,3 +369,33 @@ class TestGradcheckCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["demo", "--n-scenes", "0"], "--n-scenes"),
+        (["demo", "--n-objects", "0"], "--n-objects"),
+        (["demo", "--n-objects", "-2"], "--n-objects"),
+        (["demo", "--beta-attn", "-1"], "--beta-attn"),
+        (["demo", "--noise", "-1"], "--noise"),
+        (["demo", "--noise", "nan"], "--noise"),
+        (["demo", "--noise", "inf"], "--noise"),
+        (["demo", "--k", "-5"], "--k"),
+        (["demo", "--epochs", "-1"], "--epochs"),
+        (["demo", "--iou", "1.5"], "--iou"),
+        (["demo", "--seed", "-1"], "--seed"),
+        (["demo", "--n-scenes", "2.5"], "--n-scenes"),
+        (["gradcheck", "--step", "0"], "--step"),
+        (["gradcheck", "--trials", "-1"], "--trials"),
+        (["gradcheck", "--trials", "0"], "--trials"),
+        (["eval", "--gt-dir", "gt", "--det-dir", "det", "--iou", "0"], "--iou"),
+        (["eval", "--gt-dir", "gt", "--det-dir", "det", "--iou", "nan"], "--iou"),
+        (["bench", "--min-speedup", "nan"], "--min-speedup"),
+    ])
+    def test_bad_numeric_flag_exits_64_naming_it(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err

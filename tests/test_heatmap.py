@@ -15,15 +15,11 @@ SHAPE = HeatmapShape(height=48, width=80, classes=2)
 
 def test_gaussian_radius_example():
     # minimum of the three corner-displacement quadratics
-    assert heatmap.gaussian_radius(24, 24, 0.7) == pytest.approx(1.96, abs=0.005)
-
-
-def test_gaussian_radius_perfect_overlap_limit():
-    assert heatmap.gaussian_radius(24, 24, 0.999999) == pytest.approx(0.0, abs=1e-3)
+    assert heatmap.gaussian_radius(24, 24) == pytest.approx(1.96, abs=0.005)
 
 
 def test_gaussian_radius_monotone_in_size():
-    radii = [heatmap.gaussian_radius(s, s, 0.7) for s in np.linspace(4, 120, 20)]
+    radii = [heatmap.gaussian_radius(s, s) for s in np.linspace(4, 120, 20)]
     assert all(b >= a for a, b in zip(radii, radii[1:]))
 
 

@@ -197,6 +197,14 @@ class TestSerialization:
         assert back.score is None
         assert back.to_ground_truth().box.center == pytest.approx(box.center, abs=0.005)
 
+    @pytest.mark.parametrize("x, yaw", [(-5.0, 3.0), (5.0, -3.0), (0.0, math.pi)])
+    def test_box_label_alpha_in_kitti_range(self, x, yaw):
+        # yaw - atan2(x, z) is 3.46 at yaw 3.0, x = -5, z = 10: one turn out of range
+        label = kitti_io.box_label(Box3D((x, 1.0, 10.0), (1.5, 1.6, 3.8), yaw), "Car")
+        assert -math.pi < label.alpha <= math.pi
+        turns = (label.alpha - (label.rotation_y - math.atan2(x, 10.0))) / (2 * math.pi)
+        assert turns == pytest.approx(round(turns), abs=1e-12)
+
     def test_parse_serialize_parse_idempotent(self):
         label = kitti_io.parse_label_line(GT_LINE + " 0.95")
         once = kitti_io.serialize_label(label)

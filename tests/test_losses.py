@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kp3d import losses
-from kp3d.losses import AttentionParams, FocalParams, LossBatch
+from kp3d.losses import AttentionParams, LossBatch
 
 
 def random_smooth_batch(rng, n=None, r=8):

@@ -43,16 +43,21 @@ class TestGenerateScene:
 
     def test_distinct_quarter_grid_keypoints(self):
         scene = synth.generate_scene(SceneSpec(seed=1, n_objects=8))
-        kps, _, _ = synth.encode_objects(scene, MODEL.stats)
+        kps, _, _ = synth.encode_objects(scene)
         assert len(kps) == 8
         assert len(set(kps)) == 8
 
 
 class TestOraclePyramid:
+    @pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_noise(self, noise):
+        with pytest.raises(ValueError, match="feature_noise"):
+            OracleModel(feature_noise=noise)
+
     def test_planted_head_exact_at_zero_noise(self):
         scene = synth.generate_scene(SceneSpec(seed=2, n_objects=6))
         _, pyramid = synth.oracle_pyramid(scene, MODEL)
-        kps, taus, _ = synth.encode_objects(scene, MODEL.stats)
+        kps, taus, _ = synth.encode_objects(scene)
         emb = litefpn.gather_fuse(
             pyramid, [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in kps]
         )
@@ -62,7 +67,7 @@ class TestOraclePyramid:
     def test_gt_heatmap_is_one_at_keypoints(self):
         scene = synth.generate_scene(SceneSpec(seed=3, n_objects=5))
         pred_hm, _ = synth.oracle_pyramid(scene, MODEL)
-        kps, _, _ = synth.encode_objects(scene, MODEL.stats)
+        kps, _, _ = synth.encode_objects(scene)
         for u, v in kps:
             assert pred_hm[0, v, u] == 1.0  # zero noise keeps the GT heatmap's scores
 
@@ -73,7 +78,7 @@ class TestOraclePyramid:
             total = 0.0
             for scene in scenes_for(range(100)):
                 _, pyramid = synth.oracle_pyramid(scene, model)
-                kps, taus, _ = synth.encode_objects(scene, model.stats)
+                kps, taus, _ = synth.encode_objects(scene)
                 emb = litefpn.gather_fuse(
                     pyramid, [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in kps]
                 )
@@ -86,7 +91,7 @@ class TestOraclePyramid:
         model = OracleModel(feature_noise=0.05)
         pred_hm, pyramid = synth.oracle_pyramid(scene, model)
         clean_hm, _ = synth.oracle_pyramid(scene, MODEL)
-        kps, taus, _ = synth.encode_objects(scene, model.stats)
+        kps, taus, _ = synth.encode_objects(scene)
         emb = litefpn.gather_fuse(
             pyramid, [Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in kps]
         )
@@ -133,7 +138,7 @@ class TestOraclePyramid:
             objects = objects[::-1]
         crowded = synth.Scene(objects=objects, spec=scene.spec)
         with pytest.warns(UserWarning, match="collision"):
-            kps, taus, boxes = synth.encode_objects(crowded, MODEL.stats)
+            kps, taus, boxes = synth.encode_objects(crowded)
         assert len(kps) == 3
         assert near in [b for b, _ in boxes]
         assert far not in [b for b, _ in boxes]
@@ -207,10 +212,19 @@ class TestRunPipeline:
 
 
 class TestToyTrain:
-    def test_gradient_vanishes_at_planted_optimum(self):
-        scenes = scenes_for(range(5))
-        _, trace = synth.toy_train(scenes, MODEL, epochs=5, init=MODEL.head)
-        assert trace[0] < 1e-9
+    def test_planted_head_is_the_training_optimum(self):
+        from kp3d import losses
+
+        emb, targets, _, _, _ = synth.training_data(scenes_for(range(5)), MODEL)
+        batch = losses.LossBatch(litefpn.regress(emb, MODEL.head), targets)
+        value, _ = losses.attention_loss(batch, np.ones(batch.n))
+        assert value < 1e-9
+
+    def test_scenes_without_objects_have_no_training_data(self):
+        with pytest.raises(ValueError, match="no training keypoints"):
+            synth.training_data(scenes_for(range(2), n_objects=0), MODEL)
+        with pytest.raises(ValueError, match="no training keypoints"):
+            synth.training_data([], MODEL)
 
     def test_l1_convergence_to_planted_head(self):
         scenes = scenes_for(range(10))
@@ -240,13 +254,15 @@ class TestToyTrain:
         from kp3d import losses
 
         scenes = scenes_for(range(2))
-        decode, weights = geometry.decode_rows, losses.attention_weights
+        gt_rows = geometry.box_array(synth.training_data(scenes, MODEL)[2])
+        weights = losses.attention_weights
         seen = []
 
-        def failing_decode(*args, **kwargs):
-            rows, ok = decode(*args, **kwargs)
+        def failing_decode(taus, *args):
+            # every row decodes to its GT box, so each kept row scores IoU 1
+            ok = np.ones(len(taus), dtype=bool)
             ok[0] = False  # as for a non-positive decoded depth
-            return rows, ok
+            return gt_rows.copy(), ok
 
         def recording_weights(batch, params):
             seen.append(batch.ious.copy())
@@ -254,11 +270,19 @@ class TestToyTrain:
 
         monkeypatch.setattr(synth.geometry, "decode_rows", failing_decode)
         monkeypatch.setattr(losses, "attention_weights", recording_weights)
-        synth.toy_train(scenes, MODEL, loss="attention", epochs=2, init=MODEL.head)
+        synth.toy_train(scenes, MODEL, loss="attention", epochs=2)
         assert seen[0][0] == 0.0
         assert seen[0][1:] == pytest.approx(1.0, abs=1e-9)
 
-    def test_divergence_guard(self):
-        scenes = scenes_for(range(3))
-        with pytest.raises(RuntimeError, match="step size too large"):
-            synth.toy_train(scenes, MODEL, epochs=200, step=300.0)
+    def test_divergence_guard(self, monkeypatch):
+        from kp3d import losses
+
+        loss = losses.attention_loss
+
+        def exploding(batch, weights):
+            value, grad = loss(batch, weights)
+            return value + 1e7, grad
+
+        monkeypatch.setattr(losses, "attention_loss", exploding)
+        with pytest.raises(RuntimeError, match="diverged"):
+            synth.toy_train(scenes_for(range(3)), MODEL, epochs=200)
