@@ -20,6 +20,7 @@ from .litefpn import FeaturePyramid, RegressionHead, dense_regress_then_gather, 
 
 _WARMUP = 5  # untimed calls before each timed series
 _SEED = 0  # of the pyramid, head and keypoints
+_MAX_GRID_VALUES = 2**24  # in one 1/4-grid feature or output array: 128 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,11 @@ def time_compare(cfg: BenchConfig = BenchConfig(), assert_speedup: float | None 
     rng = np.random.default_rng(_SEED)
     h4, w4, d = cfg.height // 4, cfg.width // 4, cfg.channels
     if h4 < 4 or w4 < 4:
-        raise ValueError("height and width must be >= 16 so keypoints map into every level")
+        raise ValueError("--height and --width must be >= 16 so keypoints map into every level")
+    if cfg.k > h4 * w4:
+        raise ValueError(f"--k must be <= {h4 * w4}, the 1/4-grid cells of --height x --width")
+    if h4 * w4 * max(d, cfg.outputs) > _MAX_GRID_VALUES:
+        raise ValueError("--height/4 x --width/4 x max(--channels, --outputs) must be <= 2^24")
     pyramid = FeaturePyramid(
         levels=tuple(rng.normal(size=(h4 // f, w4 // f, d)) for f in (1, 2, 4))
     )

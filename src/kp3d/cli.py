@@ -4,7 +4,7 @@ gradient checks.
 Exit codes: 0 ok, 2 missing input (a missing directory or detection file, or
 no ground truth of the evaluated class at the evaluated difficulty), 3 parse
 error, 4 bench gate failure, 5 gradcheck failure, 64 usage error (an unknown
-flag, or a numeric flag that is malformed or out of range).
+flag, a bad numeric flag or bench size, or an output path of the wrong kind).
 """
 
 from __future__ import annotations
@@ -51,6 +51,19 @@ def _ranged(kind, low, high=math.inf, low_open=False):
     return parse
 
 
+def _path_to(kind):
+    """argparse type: an output path, unless it names an existing entry that is
+    not a `kind` ("file" or "directory")."""
+
+    def parse(text):
+        path = Path(text)
+        if path.exists() and path.is_dir() != (kind == "directory"):
+            raise argparse.ArgumentTypeError(f"{text!r} exists and is not a {kind}")
+        return text
+
+    return parse
+
+
 def write_atomic(path: Path, text: str) -> None:
     """Write via a temp file in the same directory plus rename, so interrupted
     runs never leave partial output."""
@@ -79,20 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["r11", "r40"], default="r11")
     p.add_argument("--class", dest="cls", default="Car")
     p.add_argument("--difficulty", choices=["easy", "moderate", "hard"], default="hard")
-    p.add_argument("--out", default="eval_report.json")
-    p.add_argument("--pr-csv", default=None, help="optional CSV of PR points")
+    p.add_argument("--out", type=_path_to("file"), default="eval_report.json")
+    p.add_argument("--pr-csv", type=_path_to("file"), help="optional CSV of PR points")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="dense vs sparse regression FLOPs and wall time")
-    p.add_argument("--height", type=int, default=384)
-    p.add_argument("--width", type=int, default=1280)
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--outputs", type=int, default=8)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--reps", type=int, default=30)
+    p.add_argument("--height", type=_ranged(int, 1), default=384)
+    p.add_argument("--width", type=_ranged(int, 1), default=1280)
+    p.add_argument("--channels", type=_ranged(int, 1), default=64)
+    p.add_argument("--outputs", type=_ranged(int, 1), default=8)
+    p.add_argument("--k", type=_ranged(int, 0), default=100)
+    p.add_argument("--reps", type=_ranged(int, 10), default=30)
     p.add_argument("--min-speedup", type=_ranged(float, 0), default=10.0,
                    help="0 reports without the gate")
-    p.add_argument("--out", default="bench.csv")
+    p.add_argument("--out", type=_path_to("file"), default="bench.csv")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("demo", help="synthetic end-to-end pipeline with BEV plots")
@@ -107,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=["3d", "bev"], default="3d")
     p.add_argument("--iou", type=_ranged(float, 0, 1, low_open=True), default=0.7)
     p.add_argument("--mode", choices=["r11", "r40"], default="r11")
-    p.add_argument("--out-dir", default="demo_out")
+    p.add_argument("--out-dir", type=_path_to("directory"), default="demo_out")
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("gradcheck", help="verify loss gradients against central differences")

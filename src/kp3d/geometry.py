@@ -249,17 +249,9 @@ def _corners(rows: np.ndarray, origin: np.ndarray) -> np.ndarray:
     return np.stack([x, z], axis=-1)
 
 
-def _edges(poly: np.ndarray) -> np.ndarray:
-    return np.roll(poly, -1, axis=1) - poly
-
-
-def _inside(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """(M, 4) mask of the points (M, 4, 2) that lie in the convex
-    counter-clockwise polygons (M, 4, 2), within _POLY_EPS of an edge."""
-    edge = _edges(poly)[:, None, :, :]
-    rel = points[:, :, None, :] - poly[:, None, :, :]
-    side = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
-    return (side >= -_POLY_EPS).all(axis=2)
+# the successor of each corner, and of each of the 24 vertex slots in the shoelace
+_NEXT = [1, 2, 3, 0]
+_NEXT_SLOT = [*range(1, 24), 0]
 
 
 def _overlap_polygon_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -272,14 +264,18 @@ def _overlap_polygon_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     origin = a[:, [0, 2]]
     ca, cb = _corners(a, origin), _corners(b, origin)
-    r = _edges(ca)[:, :, None, :]  # edge i of a: ca_i + t r_i
-    s = _edges(cb)[:, None, :, :]  # edge j of b: cb_j + u s_j
+    r = (ca[:, _NEXT] - ca)[:, :, None, :]  # edge i of a: ca_i + t r_i
+    s = (cb[:, _NEXT] - cb)[:, None, :, :]  # edge j of b: cb_j + u s_j
     qp = cb[:, None, :, :] - ca[:, :, None, :]
     den = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    # side_a = s_j x (ca_i - cb_j) and -side_b = r_i x (cb_j - ca_i): a corner no
+    # more than _POLY_EPS outside every edge of the other box is inside it
+    side_a = qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]
+    side_b = qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]
+    inside_a = (side_a >= -_POLY_EPS).all(axis=2)
+    inside_b = (-side_b >= -_POLY_EPS).all(axis=1)
     sign = np.sign(den)
-    tn = sign * (qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0])
-    un = sign * (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0])
-    den = np.abs(den)
+    tn, un, den = sign * side_a, sign * side_b, np.abs(den)
     # edge lengths are l, w, l, w; crossings of parallel edges are masked
     lengths_a, lengths_b = a[:, [5, 4, 5, 4]], b[:, [5, 4, 5, 4]]
     parallel = den <= _PARALLEL_SIN * lengths_a[:, :, None] * lengths_b[:, None, :]
@@ -289,7 +285,7 @@ def _overlap_polygon_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     m = len(a)
     points = np.concatenate([ca, cb, hits.reshape(m, 16, 2)], axis=1)
-    valid = np.concatenate([_inside(ca, cb), _inside(cb, ca), cross.reshape(m, 16)], axis=1)
+    valid = np.concatenate([inside_a, inside_b, cross.reshape(m, 16)], axis=1)
     count = valid.sum(axis=1)
     centroid = np.where(valid[..., None], points, 0.0).sum(axis=1) / np.maximum(count, 1)[:, None]
     rel = points - centroid[:, None, :]
@@ -300,7 +296,7 @@ def _overlap_polygon_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pad = np.arange(points.shape[1]) >= count[:, None]
     poly = np.where(pad[..., None], poly[:, :1, :], poly)
     x, z = poly[..., 0], poly[..., 1]
-    return 0.5 * np.abs((x * np.roll(z, -1, axis=1) - np.roll(x, -1, axis=1) * z).sum(axis=1))
+    return 0.5 * np.abs((x * z[:, _NEXT_SLOT] - x[:, _NEXT_SLOT] * z).sum(axis=1))
 
 
 def _bev_overlap(a: np.ndarray, b: np.ndarray, live=True) -> np.ndarray:

@@ -183,8 +183,8 @@ def serialize_detection(det: Detection) -> str:
 
 
 def load_label_dir(path: str | Path) -> dict[int, list[KittiLabel]]:
-    """Load every NNNNNN.txt label file in a directory, keyed and sorted by
-    frame id."""
+    """Load every NNNNNN.txt label file (UTF-8 text) in a directory, keyed and
+    sorted by frame id."""
     path = Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"not a directory: {path}")
@@ -198,7 +198,12 @@ def load_label_dir(path: str | Path) -> dict[int, list[KittiLabel]]:
                 f"label files {names[frame]!r} and {f.name!r} both name frame {frame}"
             )
         names[frame] = f.name
-        frames[frame] = parse_label_file(f.read_text())
+        if not f.is_file():
+            raise KittiFormatError(f"label file {f.name!r} is not a regular file")
+        try:
+            frames[frame] = parse_label_file(f.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise KittiFormatError(f"label file {f.name!r} is not UTF-8 text: {e}") from None
     return frames
 
 

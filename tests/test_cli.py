@@ -92,6 +92,20 @@ class TestEvalCommand:
                          "--out", str(tmp_path / "report.json")]) == 3
         assert "abc.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["utf16", "directory"])
+    def test_unreadable_label_file_exit_3(self, tmp_path, capsys, entry):
+        gt_dir, det_dir = write_fixture(tmp_path)
+        if entry == "utf16":  # starts with the bytes ff fe
+            (det_dir / "000000.txt").write_bytes((GT_LINE + " 0.95\n").encode("utf-16"))
+            named = "'000000.txt' is not UTF-8 text"
+        else:
+            (gt_dir / "000001.txt").mkdir()
+            named = "'000001.txt' is not a regular file"
+        assert cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                         "--out", str(tmp_path / "report.json")]) == 3
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
     def test_duplicate_frame_id_exit_3(self, tmp_path, capsys):
         gt_dir, det_dir = write_fixture(tmp_path)
         (gt_dir / "0.txt").write_text(GT_LINE + "\n")
@@ -293,6 +307,21 @@ class TestBenchCommand:
         assert code == 64
         assert ">= 16" in capsys.readouterr().err
 
+    # each is rejected before the pyramid is built, so none of them allocates
+    @pytest.mark.parametrize("flags, named", [
+        (["--k", "100000000"], "--k must be <= 30720"),
+        (["--height", "32", "--width", "32", "--k", "65"], "--k must be <= 64"),
+        (["--height", "16388", "--width", "16388", "--channels", "1", "--outputs", "1"],
+         "--height/4 x --width/4 x max(--channels, --outputs)"),
+        (["--outputs", "1000"], "max(--channels, --outputs)"),
+    ])
+    def test_bench_sizes_past_their_bounds_exit_64(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", *flags, "--reps", "10", "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDemoCommand:
     def test_zero_noise_perfect_ap(self, tmp_path):
@@ -391,6 +420,12 @@ class TestNumericFlags:
         (["eval", "--gt-dir", "gt", "--det-dir", "det", "--iou", "0"], "--iou"),
         (["eval", "--gt-dir", "gt", "--det-dir", "det", "--iou", "nan"], "--iou"),
         (["bench", "--min-speedup", "nan"], "--min-speedup"),
+        (["bench", "--height", "0"], "--height"),
+        (["bench", "--width", "-16"], "--width"),
+        (["bench", "--channels", "0"], "--channels"),
+        (["bench", "--outputs", "0"], "--outputs"),
+        (["bench", "--k", "-1"], "--k"),
+        (["bench", "--reps", "9"], "--reps"),
     ])
     def test_bad_numeric_flag_exits_64_naming_it(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -399,3 +434,24 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag, existing", [
+    (["eval", "--gt-dir", "gt", "--det-dir", "det", "--out"], "--out", "directory"),
+    (["eval", "--gt-dir", "gt", "--det-dir", "det", "--pr-csv"], "--pr-csv", "directory"),
+    (["bench", "--out"], "--out", "directory"),
+    (["demo", "--out-dir"], "--out-dir", "file"),
+])
+def test_output_path_of_the_wrong_kind_exits_64_before_any_work(tmp_path, capsys, argv, flag, existing):
+    target = tmp_path / "taken"
+    if existing == "directory":
+        target.mkdir()
+    else:
+        target.write_text("keep me\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, str(target)])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {str(target)!r} exists and is not a" in err
+    assert "Traceback" not in err
+    assert existing == "directory" or target.read_text() == "keep me\n"

@@ -364,6 +364,35 @@ def _moved(box: Box3D, angle: float, offset) -> Box3D:
     return Box3D((x * c + z * s + ox, y + oy, -x * s + z * c + oz), box.dims, box.yaw + angle)
 
 
+def _kind_pairs() -> dict[str, tuple[Box3D, Box3D]]:
+    """One fixed pair of each `box_pairs` kind but the random ones."""
+    a = Box3D((3.17, 0.41, 23.9), (1.53, 1.71, 4.13), 0.731)
+    h, w, l = a.dims
+    return {
+        "identical": (a, a),
+        "nested": (a, _shifted(a, 0.0, 0.0, dims=(0.6 * h, 0.6 * w, 0.6 * l))),
+        "collinear": (a, _shifted(a, 0.2 * l, 0.0, dims=(h, w, 0.5 * l))),
+        "edge": (a, _shifted(a, l, 0.0)),
+        "corner": (a, _shifted(a, l, w)),
+        "disjoint": (a, _shifted(a, 2 * (l + w), 1.7)),
+        "rot90": (a, _shifted(a, 0.0, 0.0, dims=(1.2, 2.3, 3.1), yaw_offset=math.pi / 2)),
+    }
+
+
+_KIND_PAIRS = _kind_pairs()
+
+
+def _assert_matrix_matches_clipping_oracle(pairs, criterion: str) -> None:
+    dets = [a for a, _ in pairs]
+    gts = [b for _, b in pairs] + [dets[0]]
+    matrix = geometry.rotated_iou(
+        geometry.box_array(dets)[:, None], geometry.box_array(gts)[None], criterion
+    )
+    oracle = np.array([[clip_iou(d, g, criterion) for g in gts] for d in dets])
+    assert matrix.shape == (len(dets), len(gts))
+    np.testing.assert_allclose(matrix, oracle, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("criterion", ["3d", "bev"])
 class TestRotatedIoUProperties:
     @given(box_pairs())
@@ -393,14 +422,13 @@ class TestRotatedIoUProperties:
     # a small box 50 m away: the oracle's shoelace has to work about a local origin
     @example(pairs=[(Box3D((20.0, 0.0, 51.09602413107627), (1.0, 0.5, 0.5), 1.0),) * 2])
     def test_matrix_matches_clipping_oracle(self, criterion, pairs):
-        dets = [a for a, _ in pairs]
-        gts = [b for _, b in pairs] + [dets[0]]
-        matrix = geometry.rotated_iou(
-            geometry.box_array(dets)[:, None], geometry.box_array(gts)[None], criterion
-        )
-        oracle = np.array([[clip_iou(d, g, criterion) for g in gts] for d in dets])
-        assert matrix.shape == (len(dets), len(gts))
-        np.testing.assert_allclose(matrix, oracle, rtol=0, atol=1e-12)
+        _assert_matrix_matches_clipping_oracle(pairs, criterion)
+
+    # corners on or near the other box's edges decide these kinds, whatever hypothesis draws
+    @pytest.mark.parametrize("kind", sorted(_KIND_PAIRS))
+    def test_degenerate_kind_matches_clipping_oracle(self, criterion, kind):
+        a, b = _KIND_PAIRS[kind]
+        _assert_matrix_matches_clipping_oracle([(a, b), (b, a)], criterion)
 
 
 class TestRotatedIoUKernel:

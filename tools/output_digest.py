@@ -21,7 +21,12 @@ maps each entry name to the sha256 of one output:
 - `eval/case/...`: `evaluation.evaluate` reports (`json.dumps`) on small
   constructed frames that take the matcher's tie and absorb paths: two GTs
   tied on IoU (in both GT orders), a detection that reaches only a GT already
-  taken, an ignored GT that absorbs a detection, and equal detection scores.
+  taken, an ignored GT that absorbs a detection, and equal detection scores;
+- `iou/...`: `geometry.rotated_iou` (`float.hex`) at `3d` and `bev` on 40
+  seeded `box_array` pairs of each kind (independent random boxes, identical,
+  nested, overlapping along the same long edges, sharing an edge, touching at
+  a corner, disjoint, rotated 90 degrees about a shared center, and near
+  each other at random), as aligned pairs and as the 40 x 40 matrix.
 
 Only the public API is used, so the script runs on older checkouts too. To
 check that a change leaves every output as it was, run it on a clone of the
@@ -221,6 +226,60 @@ def case_entries(evaluation, geometry) -> dict[str, str]:
     return out
 
 
+def _iou_pairs(geometry, kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """40 (a, b) box row pairs of one kind; each b is placed in a's frame."""
+
+    def boxes():
+        return [
+            geometry.Box3D(
+                (rng.uniform(-20, 20), rng.uniform(-2, 2), rng.uniform(5, 60)),
+                (rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 6)),
+                rng.uniform(-math.pi, math.pi),
+            )
+            for _ in range(40)
+        ]
+
+    def shifted(box, along, across, dims=None, yaw_offset=0.0):
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        x, y, z = box.center
+        return geometry.Box3D(
+            (x + along * c + across * s, y, z - along * s + across * c),
+            dims if dims is not None else box.dims,
+            box.yaw + yaw_offset,
+        )
+
+    a_boxes, others = boxes(), boxes()
+    b_boxes = []
+    for a, other in zip(a_boxes, others):
+        h, w, l = a.dims
+        b_boxes.append({
+            "independent": lambda: other,
+            "identical": lambda: a,
+            "nested": lambda: shifted(a, 0.0, 0.0, tuple(d * rng.uniform(0.2, 0.9) for d in a.dims)),
+            "collinear": lambda: shifted(a, rng.uniform(-l, l), 0.0, (h, w, l * rng.uniform(0.1, 1.5))),
+            "edge": lambda: shifted(a, l, 0.0),
+            "corner": lambda: shifted(a, l, w),
+            "disjoint": lambda: shifted(a, 2 * (l + w), rng.uniform(-5, 5)),
+            "rot90": lambda: shifted(a, 0.0, 0.0, other.dims, math.pi / 2),
+            "near": lambda: shifted(a, rng.uniform(-3, 3), rng.uniform(-3, 3), other.dims, other.yaw),
+        }[kind]())
+    return geometry.box_array(a_boxes), geometry.box_array(b_boxes)
+
+
+def iou_entries(geometry) -> dict[str, str]:
+    out = {}
+    rng = np.random.default_rng(0)
+    for kind in ("independent", "identical", "nested", "collinear", "edge", "corner",
+                 "disjoint", "rot90", "near"):
+        a, b = _iou_pairs(geometry, kind, rng)
+        for criterion in ("3d", "bev"):
+            out[f"iou/{kind}/{criterion}/pairs"] = _sha(_hex(geometry.rotated_iou(a, b, criterion)))
+            out[f"iou/{kind}/{criterion}/matrix"] = _sha(
+                _hex(geometry.rotated_iou(a[:, None], b[None], criterion).ravel())
+            )
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -234,7 +293,7 @@ def main(argv: list[str]) -> int:
         return 2
     entries = {
         **pipeline_entries(synth), **scene_entries(synth), **train_entries(synth),
-        **eval_entries(cli), **case_entries(evaluation, geometry),
+        **eval_entries(cli), **case_entries(evaluation, geometry), **iou_entries(geometry),
     }
     out_path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
     print(f"{len(entries)} entries written to {out_path}")
