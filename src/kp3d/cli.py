@@ -3,8 +3,10 @@ gradient checks.
 
 Exit codes: 0 ok, 2 missing input (a missing directory or detection file, or
 no ground truth of the evaluated class at the evaluated difficulty), 3 parse
-error, 4 bench gate failure, 5 gradcheck failure, 64 usage error (an unknown
-flag, a bad numeric flag or bench size, or an output path of the wrong kind).
+error (naming the label file, or the directory and frame, of a bad label), 4
+bench gate failure, 5 gradcheck failure, 64 usage error (an unknown flag, a bad
+numeric flag or bench size, or an output path of the wrong kind or under a
+regular file).
 """
 
 from __future__ import annotations
@@ -53,12 +55,20 @@ def _ranged(kind, low, high=math.inf, low_open=False):
 
 def _path_to(kind):
     """argparse type: an output path, unless it names an existing entry that is
-    not a `kind` ("file" or "directory")."""
+    not a `kind` ("file" or "directory"), or lies under a regular file."""
 
     def parse(text):
         path = Path(text)
-        if path.exists() and path.is_dir() != (kind == "directory"):
-            raise argparse.ArgumentTypeError(f"{text!r} exists and is not a {kind}")
+        if path.exists():
+            if path.is_dir() != (kind == "directory"):
+                raise argparse.ArgumentTypeError(f"{text!r} exists and is not a {kind}")
+            return text
+        # the nearest existing ancestor is where the missing directories get made
+        ancestor = next((p for p in path.parents if p.exists()), None)
+        if ancestor is not None and not ancestor.is_dir():
+            raise argparse.ArgumentTypeError(
+                f"{text!r} lies under {str(ancestor)!r}, which is not a directory"
+            )
         return text
 
     return parse
@@ -147,17 +157,16 @@ def cmd_eval(args) -> int:
     if missing:
         print(f"error: detection files missing for frames {sorted(missing)}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    gt_frames, det_frames = {}, {}
     try:
-        gt_frames = {
-            fid: [l.to_ground_truth() for l in labels if l.type != "DontCare"]
-            for fid, labels in gt_frames_raw.items()
-        }
-        det_frames = {
-            fid: [l.to_detection() for l in labels]
-            for fid, labels in det_frames_raw.items()
-        }
+        for fid, labels in gt_frames_raw.items():
+            where = f"{args.gt_dir}, frame {fid}"
+            gt_frames[fid] = [l.to_ground_truth() for l in labels if l.type != "DontCare"]
+        for fid, labels in det_frames_raw.items():
+            where = f"{args.det_dir}, frame {fid}"
+            det_frames[fid] = [l.to_detection() for l in labels]
     except kitti_io.KittiFormatError as e:
-        print(f"parse error: {e}", file=sys.stderr)
+        print(f"parse error: {where}: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
         report = evaluation.evaluate(

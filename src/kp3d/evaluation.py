@@ -1,4 +1,4 @@
-"""KITTI-protocol evaluation: difficulty stratification, greedy score-ordered
+"""KITTI-protocol evaluation: difficulty limits, greedy score-ordered
 detection/ground-truth matching over one rotated-box IoU matrix per frame, and
 interpolated average precision at 11 or 40 recall points over a cumulative PR curve.
 
@@ -22,15 +22,15 @@ class Difficulty(enum.Enum):
     EASY = "easy"
     MODERATE = "moderate"
     HARD = "hard"
-    IGNORED = "ignored"
 
 
-# KITTI devkit strata: (min 2D box height px, max occlusion, max truncation)
-_DIFFICULTY_LIMITS = [
-    (Difficulty.EASY, 40.0, 0, 0.15),
-    (Difficulty.MODERATE, 25.0, 1, 0.30),
-    (Difficulty.HARD, 25.0, 2, 0.50),
-]
+# KITTI devkit strata: (min 2D box height px, max occlusion, max truncation).
+# They nest, so a GT that counts at one level counts at every harder one.
+_DIFFICULTY_LIMITS = {
+    Difficulty.EASY: (40.0, 0, 0.15),
+    Difficulty.MODERATE: (25.0, 1, 0.30),
+    Difficulty.HARD: (25.0, 2, 0.50),
+}
 
 
 class EmptyStratumError(ValueError):
@@ -72,15 +72,6 @@ class FrameMatches:
     tp_scores: list[float] = field(default_factory=list)
     fp_scores: list[float] = field(default_factory=list)
     n_gt: int = 0
-
-
-def difficulty_of(gt: GroundTruth) -> Difficulty:
-    """Assign the KITTI difficulty stratum from 2D box height, occlusion and
-    truncation; anything below the hard limits is ignored."""
-    for level, min_height, max_occ, max_trunc in _DIFFICULTY_LIMITS:
-        if gt.bbox_height >= min_height and gt.occlusion <= max_occ and gt.truncation <= max_trunc:
-            return level
-    return Difficulty.IGNORED
 
 
 def match_frame(
@@ -170,15 +161,18 @@ def evaluate(
     mode: str = "r11",
 ) -> dict:
     """Full evaluation over frames; returns the report as a plain dict. Each
-    frame's objects of class `cls` become box rows once; the PR curve is built once."""
-    if difficulty is Difficulty.IGNORED:
-        raise ValueError("cannot evaluate the ignored stratum")
-    rank = {level: i for i, level in enumerate(Difficulty)}  # IGNORED ranks last
+    frame's objects of class `cls` become box rows once; the PR curve is built once.
+    A GT outside the evaluated level's limits is ignored, as in the KITTI devkit
+    (a NaN box height is outside every level's)."""
+    min_height, max_occ, max_trunc = _DIFFICULTY_LIMITS[difficulty]
     frames = []
     for frame_id in sorted(gt_frames):
         gts = [g for g in gt_frames[frame_id] if g.cls == cls]
         dets = [d for d in det_frames.get(frame_id, []) if d.cls == cls]
-        ignored = [rank[difficulty_of(g)] > rank[difficulty] for g in gts]
+        ignored = [
+            not (g.bbox_height >= min_height and g.occlusion <= max_occ and g.truncation <= max_trunc)
+            for g in gts
+        ]
         frames.append(match_frame(
             geometry.box_array([d.box for d in dets]), [d.score for d in dets],
             geometry.box_array([g.box for g in gts]), ignored, criterion, threshold,

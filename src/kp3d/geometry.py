@@ -17,7 +17,7 @@ Yaw is the rotation about the vertical (y) axis, stored normalized to (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,27 +112,17 @@ class CameraCalib:
         return self.projection[1, 1]
 
 
-@dataclass(frozen=True)
 class DecodeStats:
     """Standardization constants used by the box encode/decode pair.
 
     Depth is standardized as z = depth_mean + dz * depth_std; dimensions are
-    log-ratios against per-class mean dimensions. Defaults are the common KITTI
-    car statistics; none of this is normative, only self-consistent.
+    log-ratios against per-class mean dimensions. The values are the common
+    KITTI car statistics; none of this is normative, only self-consistent.
     """
 
-    depth_mean: float = 28.01
-    depth_std: float = 16.32
-    mean_dims: dict[str, tuple[float, float, float]] = field(
-        default_factory=lambda: {"Car": (1.63, 1.53, 3.88)}
-    )
-
-    def __post_init__(self):
-        if self.depth_std <= 0:
-            raise ValueError("depth_std must be positive")
-        for cls, d in self.mean_dims.items():
-            if min(d) <= 0:
-                raise ValueError(f"mean dims for {cls!r} must be positive")
+    depth_mean = 28.01
+    depth_std = 16.32
+    mean_dims = {"Car": (1.63, 1.53, 3.88)}
 
     def dims_for(self, cls: str) -> tuple[float, float, float]:
         try:

@@ -204,6 +204,8 @@ def load_label_dir(path: str | Path) -> dict[int, list[KittiLabel]]:
             frames[frame] = parse_label_file(f.read_text(encoding="utf-8"))
         except UnicodeDecodeError as e:
             raise KittiFormatError(f"label file {f.name!r} is not UTF-8 text: {e}") from None
+        except KittiFormatError as e:
+            raise KittiFormatError(f"{f}: {e}") from None
     return frames
 
 

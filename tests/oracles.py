@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the library code:
 voxel-grid volume IoU, scalar Sutherland-Hodgman polygon-clipping IoU, a
 scalar box decoder, naive matrix multiplication, a per-detection PR-curve loop,
-brute-force threshold-enumeration average precision, per-pixel top-K local
-maxima and a whole-grid Gaussian heatmap. Deliberately slow and simple.
+brute-force threshold-enumeration average precision, the KITTI difficulty rank
+rule, per-pixel top-K local maxima and a whole-grid Gaussian heatmap.
+Deliberately slow and simple.
 """
 
 import math
@@ -195,6 +196,22 @@ def brute_force_ap(tp_scores, fp_scores, n_gt: int, mode: str) -> float:
     for r in recalls:
         total += max((p for rec, p in points if rec >= r - 1e-12), default=0.0)
     return 100.0 * total / len(recalls)
+
+
+# KITTI devkit strata, easiest first: (level, min 2D box height px, max
+# occlusion, max truncation)
+_STRATA = [("easy", 40.0, 0, 0.15), ("moderate", 25.0, 1, 0.30), ("hard", 25.0, 2, 0.50)]
+
+
+def counts_at(level: str, bbox_height: float, occlusion: int, truncation: float) -> bool:
+    """Whether a GT counts at `level` by the stratum rank rule: its stratum is
+    the first level whose limits it meets, and it counts at that level and every
+    later one. A GT that meets no level's limits is ignored at every level."""
+    levels = [name for name, *_ in _STRATA]
+    for rank, (_, min_height, max_occ, max_trunc) in enumerate(_STRATA):
+        if bbox_height >= min_height and occlusion <= max_occ and truncation <= max_trunc:
+            return rank <= levels.index(level)
+    return False
 
 
 def brute_force_topk(heatmap: np.ndarray, k: int) -> list[tuple[int, int, int, float]]:

@@ -78,6 +78,21 @@ class TestEvalCommand:
                          "--out", str(tmp_path / "report.json")]) == 3
         assert "'score'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, text, named", [
+        ("det", "Car 1 2\n", "{file}: expected 15 or 16 fields, got 3 at line 1"),
+        ("det", GT_LINE + " 1.5\n", "{dir}, frame 0: field 'score' must be in [0, 1], got 1.5"),
+        ("gt", GT_LINE.replace(" 180.0 ", " 118.5 ") + "\n",
+         "{dir}, frame 0: bbox_height must be non-negative, got -1.5"),
+    ], ids=["field_count", "score", "bbox_height"])
+    def test_label_error_names_its_file_or_frame(self, tmp_path, capsys, where, text, named):
+        dirs = dict(zip(("gt", "det"), write_fixture(tmp_path)))
+        (dirs[where] / "000000.txt").write_text(text)
+        assert cli.main(["eval", "--gt-dir", str(dirs["gt"]), "--det-dir", str(dirs["det"]),
+                         "--out", str(tmp_path / "report.json")]) == 3
+        err = capsys.readouterr().err
+        assert named.format(file=dirs[where] / "000000.txt", dir=dirs[where]) in err
+        assert "Traceback" not in err
+
     def test_zero_dimension_label_exit_3(self, tmp_path, capsys):
         gt_dir, det_dir = write_fixture(tmp_path)
         (gt_dir / "000000.txt").write_text(GT_LINE.replace(" 1.60 ", " 0.00 ") + "\n")
@@ -144,7 +159,7 @@ class TestEvalCommand:
         ],
     )
     def test_non_finite_field_exit_3(self, tmp_path, capsys, where, field, value, named):
-        # a NaN bbox height would put the GT in the ignored stratum, dropping a TP
+        # a NaN bbox height would fail every difficulty's limits, dropping a TP
         dirs = dict(zip(("gt", "det"), write_fixture(tmp_path)))
         fields = GT_LINE.split()
         fields[field] = value
@@ -441,6 +456,12 @@ class TestNumericFlags:
     (["eval", "--gt-dir", "gt", "--det-dir", "det", "--pr-csv"], "--pr-csv", "directory"),
     (["bench", "--out"], "--out", "directory"),
     (["demo", "--out-dir"], "--out-dir", "file"),
+    # the output path lies under a regular file: writing it used to fail with a
+    # traceback after the whole run
+    (["eval", "--gt-dir", "gt", "--det-dir", "det", "--out"], "--out", "parent file"),
+    (["eval", "--gt-dir", "gt", "--det-dir", "det", "--pr-csv"], "--pr-csv", "parent file"),
+    (["bench", "--out"], "--out", "parent file"),
+    (["demo", "--out-dir"], "--out-dir", "parent file"),
 ])
 def test_output_path_of_the_wrong_kind_exits_64_before_any_work(tmp_path, capsys, argv, flag, existing):
     target = tmp_path / "taken"
@@ -448,10 +469,13 @@ def test_output_path_of_the_wrong_kind_exits_64_before_any_work(tmp_path, capsys
         target.mkdir()
     else:
         target.write_text("keep me\n")
+    path, wrong = target, "exists and is not a"
+    if existing == "parent file":
+        path, wrong = target / "sub" / "out", f"lies under {str(target)!r}, which is not a directory"
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, str(target)])
+        cli.main([*argv, str(path)])
     assert exc.value.code == 64
     err = capsys.readouterr().err
-    assert f"argument {flag}: {str(target)!r} exists and is not a" in err
+    assert f"argument {flag}: {str(path)!r} {wrong}" in err
     assert "Traceback" not in err
     assert existing == "directory" or target.read_text() == "keep me\n"

@@ -1,12 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from kp3d import evaluation
-from kp3d.evaluation import Detection, Difficulty, FrameMatches, GroundTruth, difficulty_of
+from kp3d.evaluation import Detection, Difficulty, FrameMatches, GroundTruth
 from kp3d.geometry import Box3D, box_array
 
-from oracles import brute_force_ap, brute_force_ap_r11, clip_iou, loop_pr_curve
+from oracles import brute_force_ap, brute_force_ap_r11, clip_iou, counts_at, loop_pr_curve
 
 
 def box(x=0.0, z=10.0, yaw=0.0, dims=(1.5, 1.6, 4.0)):
@@ -21,21 +24,25 @@ def gt(b, cls="Car", **kwargs):
     return GroundTruth(box=b, cls=cls, **kwargs)
 
 
-class TestDifficulty:
-    def test_easy(self):
-        assert difficulty_of(gt(box(), bbox_height=50, occlusion=0, truncation=0.0)) is Difficulty.EASY
+# probe GT limits on each side of every stratum boundary
+_HEIGHTS = [0.0, 24.999999, 25.0, 25.000001, 39.999999, 40.0, 40.000001, 1e9, math.nan]
+_OCCLUSIONS = [-1, 0, 1, 2, 3]
+_TRUNCATIONS = [0.0, 0.15, 0.1500001, 0.3, 0.3000001, 0.5, 0.5000001, 1.0]
 
-    def test_moderate(self):
-        assert difficulty_of(gt(box(), bbox_height=30, occlusion=1, truncation=0.2)) is Difficulty.MODERATE
 
-    def test_hard(self):
-        assert difficulty_of(gt(box(), bbox_height=26, occlusion=2, truncation=0.5)) is Difficulty.HARD
-
-    def test_too_small_ignored(self):
-        assert difficulty_of(gt(box(), bbox_height=10)) is Difficulty.IGNORED
-
-    def test_fully_truncated_ignored(self):
-        assert difficulty_of(gt(box(), bbox_height=80, truncation=0.9)) is Difficulty.IGNORED
+@pytest.mark.parametrize("difficulty", list(Difficulty), ids=lambda d: d.value)
+@pytest.mark.parametrize("bbox_height", _HEIGHTS)
+def test_gt_counts_as_the_stratum_rank_rule_says(difficulty, bbox_height):
+    # a far anchor GT that always counts, a probe GT and a detection equal to
+    # the probe: a TP at recall 0.5 if the probe counts, dropped if it is ignored
+    anchor = gt(box(x=20.0))
+    for occlusion, truncation in itertools.product(_OCCLUSIONS, _TRUNCATIONS):
+        probe = gt(box(), bbox_height=bbox_height, occlusion=occlusion, truncation=truncation)
+        report = evaluation.evaluate(
+            {0: [det(box(), 0.5)]}, {0: [anchor, probe]}, difficulty=difficulty
+        )
+        counts = counts_at(difficulty.value, bbox_height, occlusion, truncation)
+        assert report["pr_curve"] == ([[0.5, 1.0]] if counts else []), (occlusion, truncation)
 
 
 def match(dets, gts, criterion, threshold, ignored=None):

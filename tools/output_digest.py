@@ -22,6 +22,10 @@ maps each entry name to the sha256 of one output:
   constructed frames that take the matcher's tie and absorb paths: two GTs
   tied on IoU (in both GT orders), a detection that reaches only a GT already
   taken, an ignored GT that absorbs a detection, and equal detection scores;
+- `eval/strata/...`: `evaluation.evaluate` reports (`json.dumps`) at each
+  difficulty on frames of a far anchor GT, a probe GT and a detection equal
+  to the probe, with the probe's 2D box height (one entry each), occlusion and
+  truncation on each side of every KITTI stratum limit;
 - `iou/...`: `geometry.rotated_iou` (`float.hex`) at `3d` and `bev` on 40
   seeded `box_array` pairs of each kind (independent random boxes, identical,
   nested, overlapping along the same long edges, sharing an edge, touching at
@@ -226,6 +230,31 @@ def case_entries(evaluation, geometry) -> dict[str, str]:
     return out
 
 
+def strata_entries(evaluation, geometry) -> dict[str, str]:
+    """One frame per probe: a far anchor GT, a probe GT on each side of every
+    stratum limit, and a detection equal to the probe, evaluated at each level."""
+    box = geometry.Box3D((0.0, 0.0, 10.0), (1.5, 1.6, 4.0), 0.0)
+    anchor = evaluation.GroundTruth(geometry.Box3D((20.0, 0.0, 10.0), (1.5, 1.6, 4.0), 0.0), "Car")
+    dets = {0: [evaluation.Detection(box, "Car", 0.5)]}
+    levels = (evaluation.Difficulty.EASY, evaluation.Difficulty.MODERATE, evaluation.Difficulty.HARD)
+    out = {}
+    for difficulty in levels:
+        for height in (0.0, 24.999999, 25.0, 25.000001, 39.999999, 40.0, 40.000001, 1e9, math.nan):
+            reports = []
+            for occlusion in (-1, 0, 1, 2, 3):
+                for truncation in (0.0, 0.15, 0.1500001, 0.3, 0.3000001, 0.5, 0.5000001, 1.0):
+                    probe = evaluation.GroundTruth(
+                        box, "Car", bbox_height=height, occlusion=occlusion, truncation=truncation
+                    )
+                    reports.append(evaluation.evaluate(
+                        dets, {0: [anchor, probe]}, difficulty=difficulty
+                    ))
+            out[f"eval/strata/{difficulty.value}/h{height!r}"] = _sha(
+                json.dumps(reports, sort_keys=True)
+            )
+    return out
+
+
 def _iou_pairs(geometry, kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
     """40 (a, b) box row pairs of one kind; each b is placed in a's frame."""
 
@@ -293,7 +322,8 @@ def main(argv: list[str]) -> int:
         return 2
     entries = {
         **pipeline_entries(synth), **scene_entries(synth), **train_entries(synth),
-        **eval_entries(cli), **case_entries(evaluation, geometry), **iou_entries(geometry),
+        **eval_entries(cli), **case_entries(evaluation, geometry),
+        **strata_entries(evaluation, geometry), **iou_entries(geometry),
     }
     out_path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
     print(f"{len(entries)} entries written to {out_path}")
