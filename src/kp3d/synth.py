@@ -76,11 +76,11 @@ def _planted_head() -> RegressionHead:
 class OracleModel:
     """Feature noise over a fixed pyramid and the planted readout head.
 
-    Features are pseudorandom everywhere except the fine-level cell under each
-    keypoint, which is solved so gather_fuse followed by `head` reproduces the
-    object's encoded parameters exactly at zero feature noise. The predicted
-    heatmap degrades keypoint scores with the local regression error
-    (score = clamp(1 - |tau error|_1, 0, 1)).
+    Features are pseudorandom at every cell the head reads except the
+    fine-level cell under each keypoint, which is solved so gather_fuse
+    followed by `head` reproduces the object's encoded parameters exactly at
+    zero feature noise. The predicted heatmap degrades keypoint scores with the
+    local regression error (score = clamp(1 - |tau error|_1, 0, 1)).
     """
 
     feature_noise: float = 0.0
@@ -153,46 +153,92 @@ def _keypoint_index(keypoints):
     return [Keypoint(cls=0, u=a, v=b, score=1.0) for a, b in keypoints], u, v
 
 
-# values per feature-noise draw (64 KB)
-_NOISE_CHUNK = 8192
+# feature streams: SeedSequence([stream, seed]) keys each one. The stream goes
+# first because SeedSequence pads its entropy with zero words: as [seed, stream],
+# seed 0's noise stream would be seed 2**32's background stream
+_BACKGROUND, _NOISE = 0, 1
+# splitmix64: its n-th output from key k is _mix(k + n * _GAMMA)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output function, in place on a uint64 array (wrapping)."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX[0]
+    x ^= x >> np.uint64(27)
+    x *= _MIX[1]
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _level_cells(u: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (v, u) cell that `gather_fuse` reads at each level for 1/4-grid cells (u, v)."""
+    return [(v // (stride // 4), u // (stride // 4)) for stride in litefpn.STRIDES]
+
+
+def _normals(seed: int, stream: int, cells) -> list[np.ndarray]:
+    """Standard normals at each level's cells: for level i, an (n_i, R_TUPLE)
+    array with one row per (v, u) pair in cells[i].
+
+    Each value is a pure function of (seed, stream, level, v, u, channel): it
+    takes splitmix64 outputs 2c + 1 and 2c + 2 from the stream's key, where c
+    packs (level, v, u, channel) into one counter (v and u below 2**20), as two
+    uniforms, then Box-Muller. So a cell reads the same bits whatever else is
+    drawn with it, and in whatever order."""
+    key = np.random.SeedSequence([stream, seed]).generate_state(1, np.uint64)
+    cell = np.concatenate([
+        (np.uint64(level) << np.uint64(48)) | (v.astype(np.uint64) << np.uint64(28))
+        | (u.astype(np.uint64) << np.uint64(8))
+        for level, (v, u) in enumerate(cells)
+    ])
+    counter = cell[:, None] | np.arange(R_TUPLE, dtype=np.uint64)
+    n = (counter[..., None] << np.uint64(1)) + np.array([1, 2], dtype=np.uint64)
+    bits = _mix(key + n * _GAMMA) >> np.uint64(11)  # 53 bits each
+    u1 = (bits[..., 0] + 1.0) * 2.0**-53  # in (0, 1], so the log is finite
+    u2 = bits[..., 1] * 2.0**-53
+    values = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    return np.split(values, np.cumsum([len(v) for v, _ in cells])[:-1])
+
+
+def _assign(pyramid: FeaturePyramid, seed: int, cells, blocks, feature_noise: float):
+    """Give each level's cells their final features: the level's block plus
+    feature_noise times the noise stream. An assignment, not an increment, so
+    a coarse cell written twice keeps one value."""
+    if feature_noise > 0:
+        noise = _normals(seed, _NOISE, cells)
+        blocks = [block + feature_noise * n for block, n in zip(blocks, noise)]
+    for level, (v, u), block in zip(pyramid.levels, cells, blocks):
+        level[v, u] = block
 
 
 def oracle_pyramid(scene: Scene, model: OracleModel):
     """Build (predicted heatmap, feature pyramid) for a scene.
 
-    The pyramid is random background everywhere except that each keypoint's
-    fine-level cell is solved so the planted head reads the object's exact
-    encoded parameters; feature noise is then layered on top.
+    Features are computed only at the cells the head reads; every other cell
+    of the three levels is zero. Here those are the keypoints' cells:
+    background at 1/8 and 1/16, and at 1/4 the cell solved so the planted head
+    reads the object's exact encoded parameters; feature noise is then layered
+    on all three. `run_pipeline` fills its other top-K candidates' cells.
     """
     shape = _HEATMAP_SHAPE
     d = R_TUPLE
-    rng = np.random.default_rng(scene.spec.seed + 0x5CE11E)
-    f4 = rng.normal(size=(shape.height, shape.width, d))
-    f8 = rng.normal(size=(shape.height // 2, shape.width // 2, d))
-    f16 = rng.normal(size=(shape.height // 4, shape.width // 4, d))
-    pyramid = FeaturePyramid(levels=(f4, f8, f16))
+    seed = scene.spec.seed
+    pyramid = FeaturePyramid(levels=tuple(
+        np.zeros((shape.height // (stride // 4), shape.width // (stride // 4), d))
+        for stride in litefpn.STRIDES
+    ))
 
     keypoints, taus, boxes = encode_objects(scene)
     kp_objs, u, v = _keypoint_index(keypoints)
     # every keypoint's 1/4 cell x in one solve, W4 being 8 x 8 and full rank:
-    # x @ W4 = tau - b - [f8 f16] @ [W8; W16]
+    # x @ W4 = tau - b - [f8 f16] @ [W8; W16], on the noise-free coarse cells
     head = model.head
-    coarse = litefpn.gather_fuse(pyramid, kp_objs)[:, d:]
-    rhs = taus - head.bias - coarse @ head.weights[d:]
-    f4[v, u] = np.linalg.solve(head.weights[:d].T, rhs.T).T
-    if model.feature_noise > 0:
-        # in place and in chunks: the same bits as f + noise * normal, since the
-        # generator yields one stream whatever the request sizes. A whole-level
-        # draw (2 MB at 1/4) would lift the heap peak past glibc's trim
-        # threshold, and whether the next scene then page-faults would hang on
-        # the heap layout
-        for f in (f4, f8, f16):
-            flat = f.reshape(-1)
-            for start in range(0, flat.size, _NOISE_CHUNK):
-                part = flat[start : start + _NOISE_CHUNK]
-                noise = rng.normal(size=part.size)
-                noise *= model.feature_noise
-                part += noise
+    cells = _level_cells(u, v)
+    blocks = _normals(seed, _BACKGROUND, cells)
+    rhs = taus - head.bias - np.concatenate(blocks[1:], axis=1) @ head.weights[d:]
+    blocks[0] = np.linalg.solve(head.weights[:d].T, rhs.T).T
+    _assign(pyramid, seed, cells, blocks, model.feature_noise)
 
     specs = [
         GaussianSpec(center=kp, sigma=_splat_sigma(box), cls=0)
@@ -225,8 +271,16 @@ def run_pipeline(
     head = regress_head if regress_head is not None else model.head
     pred_hm, pyramid = oracle_pyramid(scene, model)
     candidates = heatmap.topk(pred_hm, k)
-    taus = litefpn.regress(litefpn.gather_fuse(pyramid, candidates), head)
     uv = [(kp.u, kp.v) for kp in candidates]
+    # fill the candidates that are not keypoints: their 1/4 cells are still all
+    # zero, while a solved keypoint cell, which must stay as it is, is zero in
+    # all channels only where the solve returns exactly 0 (probability 0)
+    u, v = np.array(uv, dtype=np.intp).reshape(-1, 2).T
+    new = ~pyramid.levels[0][v, u].any(axis=1)
+    cells = _level_cells(u[new], v[new])
+    background = _normals(scene.spec.seed, _BACKGROUND, cells)
+    _assign(pyramid, scene.spec.seed, cells, background, model.feature_noise)
+    taus = litefpn.regress(litefpn.gather_fuse(pyramid, candidates), head)
     rows, ok = geometry.decode_rows(taus, uv, "Car", CALIB, model.stats)
     dets = [
         Detection(Box3D(tuple(r[:3]), tuple(r[3:6]), r[6]), "Car", candidates[i].score)

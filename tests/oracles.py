@@ -2,15 +2,15 @@
 voxel-grid volume IoU, scalar Sutherland-Hodgman polygon-clipping IoU, a
 scalar box decoder, naive matrix multiplication, a per-detection PR-curve loop,
 brute-force threshold-enumeration average precision, the KITTI difficulty rank
-rule, per-pixel top-K local maxima and a whole-grid Gaussian heatmap.
-Deliberately slow and simple.
+rule, per-pixel top-K local maxima, a whole-grid Gaussian heatmap and a
+whole-grid oracle feature pyramid. Deliberately slow and simple.
 """
 
 import math
 
 import numpy as np
 
-from kp3d import geometry
+from kp3d import geometry, heatmap, litefpn, synth
 from kp3d.geometry import DIM_CLAMP_MAX, DIM_CLAMP_MIN, DOWNSAMPLE, Box3D
 
 
@@ -240,3 +240,36 @@ def full_grid_heatmap(keypoints, shape) -> np.ndarray:
         g = np.exp(-((xs - u) ** 2 + (ys - v) ** 2) / (2.0 * kp.sigma**2))
         np.maximum(out[kp.cls], g, out=out[kp.cls])
     return out
+
+
+def dense_oracle_pyramid(scene, model):
+    """`synth.oracle_pyramid` with features computed at every cell of every
+    level: the per-cell background and noise over whole grids, then the same
+    keypoint solve on the noise-free coarse cells and the same scoring."""
+    seed, d = scene.spec.seed, synth.R_TUPLE
+    h4, w4 = (side // DOWNSAMPLE for side in synth.IMAGE_SIZE)
+    shapes = [(h4 // (stride // 4), w4 // (stride // 4)) for stride in litefpn.STRIDES]
+    cells = [tuple(a.ravel() for a in np.indices(shape)) for shape in shapes]
+    background, noise = (
+        [a.reshape(*shape, d) for a, shape in zip(synth._normals(seed, stream, cells), shapes)]
+        for stream in (synth._BACKGROUND, synth._NOISE)
+    )
+    keypoints, taus, boxes = synth.encode_objects(scene)
+    kps = [heatmap.Keypoint(cls=0, u=u, v=v, score=1.0) for u, v in keypoints]
+    u, v = np.array(keypoints, dtype=np.intp).reshape(-1, 2).T
+    head = model.head
+    coarse = litefpn.gather_fuse(litefpn.FeaturePyramid(tuple(background)), kps)[:, d:]
+    rhs = taus - head.bias - coarse @ head.weights[d:]
+    solved = np.linalg.solve(head.weights[:d].T, rhs.T).T
+    levels = [bg + model.feature_noise * n for bg, n in zip(background, noise)]
+    levels[0][v, u] = solved + model.feature_noise * noise[0][v, u]
+    pyramid = litefpn.FeaturePyramid(tuple(levels))
+    specs = [
+        heatmap.GaussianSpec(center=kp, sigma=synth._splat_sigma(box), cls=0)
+        for kp, (box, _) in zip(keypoints, boxes)
+    ]
+    pred_hm = heatmap.encode_heatmap(specs, heatmap.HeatmapShape(h4, w4, 1))
+    if model.feature_noise > 0:
+        err = np.abs(litefpn.regress(litefpn.gather_fuse(pyramid, kps), head) - taus).sum(axis=1)
+        pred_hm[0, v, u] = np.clip(1.0 - err, 0.0, 1.0)
+    return pred_hm, pyramid

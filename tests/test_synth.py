@@ -1,12 +1,15 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kp3d import geometry, litefpn, synth
 from kp3d.heatmap import Keypoint
 from kp3d.losses import AttentionParams
 from kp3d.synth import OracleModel, SceneSpec
+from oracles import dense_oracle_pyramid
 
 
 MODEL = OracleModel()
@@ -286,3 +289,103 @@ class TestToyTrain:
         monkeypatch.setattr(losses, "attention_loss", exploding)
         with pytest.raises(RuntimeError, match="diverged"):
             synth.toy_train(scenes_for(range(3)), MODEL, epochs=200)
+
+
+def _cells(n, seed=0):
+    """n distinct (v, u) cells of the 1/4 level, in a seeded random order."""
+    h, w = (side // geometry.DOWNSAMPLE for side in synth.IMAGE_SIZE)
+    flat = np.random.default_rng(seed).permutation(h * w)[:n]
+    return flat // w, flat % w
+
+
+def _draw(seed, stream, level, v, u):
+    """The generator's values at cells (v, u) of one level."""
+    empty = np.zeros(0, dtype=np.intp)
+    return synth._normals(seed, stream, [(empty, empty)] * level + [(v, u)])[level]
+
+
+class TestCellNormals:
+    """The per-cell generator behind the oracle features: values at cells
+    (v, u) of one level, keyed by (seed, stream)."""
+
+    @given(
+        st.integers(0, 2**70), st.sampled_from([synth._BACKGROUND, synth._NOISE]),
+        st.integers(0, 2), st.integers(1, 60), st.randoms(use_true_random=False),
+    )
+    def test_same_bits_whatever_batch_order_or_size(self, seed, stream, level, n, rnd):
+        v, u = _cells(n, seed=n)
+        whole = _draw(seed, stream, level, v, u)
+        order = list(range(n))
+        rnd.shuffle(order)
+        shuffled = _draw(seed, stream, level, v[order], u[order])
+        assert np.array_equal(shuffled, whole[order])
+        cut = rnd.randrange(n + 1)
+        parts = [_draw(seed, stream, level, v[a:b], u[a:b]) for a, b in ((0, cut), (cut, n))]
+        assert np.array_equal(np.concatenate(parts), whole)
+        one = _draw(seed, stream, level, v[-1:], u[-1:])
+        assert np.array_equal(one, whole[-1:])
+        every_level = synth._normals(seed, stream, [(v, u)] * 3)
+        assert np.array_equal(every_level[level], whole)
+
+    def test_moments_and_ks_distance_of_standard_normal(self):
+        draws = _draw(3, synth._BACKGROUND, 0, *_cells(2**14)).ravel()
+        n = draws.size
+        assert n == 2**17
+        assert abs(draws.mean()) < 4 / math.sqrt(n)
+        assert abs(draws.var() - 1.0) < 4 * math.sqrt(2 / n)  # var of s^2 is 2 / n at N(0, 1)
+        x = np.sort(draws)
+        cdf = 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+        ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert ks < 1.63 / math.sqrt(n)
+
+    def test_streams_and_neighbouring_channels_uncorrelated(self):
+        cells = _cells(2**14)
+        background = _draw(3, synth._BACKGROUND, 0, *cells)
+        noise = _draw(3, synth._NOISE, 0, *cells)
+        bound = 4 / math.sqrt(background.size)
+        assert abs(np.corrcoef(background.ravel(), noise.ravel())[0, 1]) < bound
+        pairs = (background[:, :-1].ravel(), background[:, 1:].ravel())
+        assert abs(np.corrcoef(*pairs)[0, 1]) < 4 / math.sqrt(pairs[0].size)
+
+    def test_large_seeds_give_distinct_values(self):
+        cells = _cells(8)
+        values = [_draw(s, synth._BACKGROUND, 0, *cells) for s in (0, 2**63, 2**64 + 5)]
+        assert len({a.tobytes() for a in values}) == 3
+        scene = synth.generate_scene(SceneSpec(seed=2**64 + 5, n_objects=3))
+        dets, report = synth.run_pipeline(scene, MODEL)
+        assert report["ap"] == 100.0
+
+
+class TestSparseBackbone:
+    """Features are computed only at the cells the head reads, and the
+    pipeline reads the same values as with features at every cell."""
+
+    @pytest.mark.parametrize("n_objects", [5, 20])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_run_pipeline_equals_dense_reference(self, monkeypatch, noise, n_objects):
+        model = OracleModel(feature_noise=noise)
+        scenes = scenes_for(range(6), n_objects=n_objects)
+        sparse = [synth.run_pipeline(s, model, k=100) for s in scenes]
+        monkeypatch.setattr(synth, "oracle_pyramid", dense_oracle_pyramid)
+        dense = [synth.run_pipeline(s, model, k=100) for s in scenes]
+        assert sparse == dense
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_training_data_equals_dense_reference(self, monkeypatch, noise):
+        model = OracleModel(feature_noise=noise)
+        scenes = scenes_for(range(6), n_objects=20)
+        sparse = synth.training_data(scenes, model)
+        monkeypatch.setattr(synth, "oracle_pyramid", dense_oracle_pyramid)
+        dense = synth.training_data(scenes, model)
+        for a, b in zip(sparse, dense):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+
+    def test_levels_are_zero_except_at_keypoint_cells(self):
+        scene = synth.generate_scene(SceneSpec(seed=4, n_objects=20))
+        _, pyramid = synth.oracle_pyramid(scene, OracleModel(feature_noise=0.05))
+        kps, _, _ = synth.encode_objects(scene)
+        u, v = np.array(kps).T
+        for level, stride in zip(pyramid.levels, litefpn.STRIDES):
+            written = np.zeros(level.shape[:2], dtype=bool)
+            written[v // (stride // 4), u // (stride // 4)] = True
+            assert np.array_equal(level.any(axis=2), written)

@@ -13,7 +13,8 @@ maps each entry name to the sha256 of one output:
 - `scene/...`: the bytes of `synth.oracle_pyramid`'s predicted heatmap and of
   each feature pyramid level on 80 seeded scenes (seeds 0-19 x feature noise
   0 and 0.05 x 5 and 20 objects). Detections only show the heatmap cells that
-  reach top-K; these entries show every cell, tails included;
+  reach top-K; these entries show every cell, tails included. The levels are
+  zero except at the cells the head reads at the keypoints;
 - `train/...`: `synth.toy_train` loss traces (`float.hex`) and learned heads
   (array bytes) with the L1 and the attention loss, at noise 0 and 0.05;
 - `eval/pair...`: the exit code, stdout and `report.json` bytes of `kp3d eval`
