@@ -4,11 +4,12 @@ and rotated-box IoU (bird's-eye view and full 3D).
 `decode_rows` decodes K regression rows into (K, 7) box rows and a mask of the
 usable ones, always clamping dimensions; `decode_box` is its one-row form. IoU
 is one batched numpy kernel, `rotated_iou`, over (..., 7) box rows
-(`box_array`): the intersection of two rotated rectangles is the polygon of
-the corners of each inside the other plus their edge-edge crossings, sorted by
-angle and measured with the shoelace formula. Broadcasting gives a detection x
-ground-truth matrix in one call; `iou_3d`, `iou_bev` and
-`bev_intersection_area` are its one-pair forms.
+(`box_array`): by Green's theorem, the overlap area of two rotated rectangles
+is a sum over the part of each one's edges that lies inside the other, and
+every tolerance is relative to the edge lengths, so an IoU does not depend on
+the unit of length. Broadcasting gives a detection x ground-truth matrix in
+one call; `iou_3d`, `iou_bev` and `bev_intersection_area` are its one-pair
+forms.
 
 Camera frame follows the KITTI convention: x right, y down, z forward.
 Yaw is the rotation about the vertical (y) axis, stored normalized to (-pi, pi].
@@ -29,10 +30,12 @@ DIM_CLAMP_MAX = 40.0
 # Keypoints live on the 1/4-resolution heatmap grid: pixel u is keypoint u // 4.
 DOWNSAMPLE = 4
 
-_POLY_EPS = 1e-9
 # edges whose angle has a smaller sine are parallel: rounding alone leaves
 # about 2e-14 on edges that are parallel by construction
 _PARALLEL_SIN = 1e-12
+# a parallel edge nearer to the other edge's line than this fraction of its
+# own length lies on that line
+_ON_EDGE = 1e-9
 
 
 def normalize_angle(angle: float) -> float:
@@ -239,60 +242,53 @@ def _corners(rows: np.ndarray, origin: np.ndarray) -> np.ndarray:
     return np.stack([x, z], axis=-1)
 
 
-# the successor of each corner, and of each of the 24 vertex slots in the shoelace
+# the successor of each corner
 _NEXT = [1, 2, 3, 0]
-_NEXT_SLOT = [*range(1, 24), 0]
 
 
-def _overlap_polygon_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """BEV intersection area of aligned (M, 7) row pairs.
-
-    The vertices of the intersection of two convex quadrilaterals are the
-    corners of each that lie inside the other plus the crossings of their 16
-    edge pairs; sorted by angle about their centroid they form a convex
-    polygon whose shoelace area is the overlap.
-    """
+def _overlap_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BEV intersection area of aligned (M, 7) row pairs, by Green's theorem:
+    the overlap's boundary is the part of each box's edges inside the other
+    box, so each edge p + t d, clipped by the other box's four half-planes to
+    [t0, t1] within t in [0, 1], adds (t1 - t0) (p x d) / 2. An edge lying on an
+    edge of the other box counts only if it is a's and the two run the same
+    way: a shared edge counts once, and boxes that only touch add nothing."""
     origin = a[:, [0, 2]]
     ca, cb = _corners(a, origin), _corners(b, origin)
     r = (ca[:, _NEXT] - ca)[:, :, None, :]  # edge i of a: ca_i + t r_i
     s = (cb[:, _NEXT] - cb)[:, None, :, :]  # edge j of b: cb_j + u s_j
     qp = cb[:, None, :, :] - ca[:, :, None, :]
     den = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
-    # side_a = s_j x (ca_i - cb_j) and -side_b = r_i x (cb_j - ca_i): a corner no
-    # more than _POLY_EPS outside every edge of the other box is inside it
+    # ca_i + t r_i is inside edge j of b where side_a - t den >= 0, and
+    # cb_j + u s_j is inside edge i of a where u den - side_b >= 0
     side_a = qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]
     side_b = qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]
-    inside_a = (side_a >= -_POLY_EPS).all(axis=2)
-    inside_b = (-side_b >= -_POLY_EPS).all(axis=1)
-    sign = np.sign(den)
-    tn, un, den = sign * side_a, sign * side_b, np.abs(den)
-    # edge lengths are l, w, l, w; crossings of parallel edges are masked
-    lengths_a, lengths_b = a[:, [5, 4, 5, 4]], b[:, [5, 4, 5, 4]]
-    parallel = den <= _PARALLEL_SIN * lengths_a[:, :, None] * lengths_b[:, None, :]
-    cross = ~parallel & (tn >= 0) & (tn <= den) & (un >= 0) & (un <= den)
-    t = np.where(cross, tn, 0.0) / np.where(cross, den, 1.0)
-    hits = ca[:, :, None, :] + t[..., None] * r
-
-    m = len(a)
-    points = np.concatenate([ca, cb, hits.reshape(m, 16, 2)], axis=1)
-    valid = np.concatenate([inside_a, inside_b, cross.reshape(m, 16)], axis=1)
-    count = valid.sum(axis=1)
-    centroid = np.where(valid[..., None], points, 0.0).sum(axis=1) / np.maximum(count, 1)[:, None]
-    rel = points - centroid[:, None, :]
-    angle = np.where(valid, np.arctan2(rel[..., 1], rel[..., 0]), np.inf)
-    order = np.argsort(angle, axis=1)
-    poly = np.take_along_axis(points, order[..., None], axis=1)
-    # slots past the last vertex repeat the first one and add no area
-    pad = np.arange(points.shape[1]) >= count[:, None]
-    poly = np.where(pad[..., None], poly[:, :1, :], poly)
-    x, z = poly[..., 0], poly[..., 1]
-    return 0.5 * np.abs((x * z[:, _NEXT_SLOT] - x[:, _NEXT_SLOT] * z).sum(axis=1))
+    # edge lengths are l, w, l, w; both tolerances scale with them
+    scale = a[:, [5, 4, 5, 4], None] * b[:, None, [5, 4, 5, 4]]
+    parallel = np.abs(den) <= _PARALLEL_SIN * scale
+    on_edge = _ON_EDGE * scale
+    # a parallel edge is inside the other edge's half-plane as a whole or not at
+    # all; on that edge, only a's edge counts, and only if the two run the same way
+    same_way = (r * s).sum(axis=-1) > 0
+    in_a = ~parallel | (side_a > np.where(same_way, -on_edge, on_edge))
+    in_b = ~parallel | (-side_b > on_edge)
+    # den > 0 bounds t from above and u from below; den < 0 the other way round
+    pos, neg = ~parallel & (den > 0), ~parallel & (den < 0)
+    den = np.where(parallel, 1.0, den)
+    t, u = side_a / den, side_b / den
+    # an edge outside a parallel half-plane ends where it starts: t1 = in_a = 0
+    t0, t1 = np.where(neg, t, 0.0).max(axis=2), np.where(pos, t, in_a).min(axis=2)
+    u0, u1 = np.where(pos, u, 0.0).max(axis=1), np.where(neg, u, in_b).min(axis=1)
+    spans = np.maximum(np.concatenate([t1 - t0, u1 - u0], axis=1), 0.0)
+    p, d = np.concatenate([ca, cb], axis=1), np.concatenate([r[:, :, 0], s[:, 0]], axis=1)
+    twice = (spans * (p[..., 0] * d[..., 1] - p[..., 1] * d[..., 0])).sum(axis=1)
+    return np.maximum(0.5 * twice, 0.0)
 
 
 def _bev_overlap(a: np.ndarray, b: np.ndarray, live=True) -> np.ndarray:
     """BEV intersection area of aligned (M, 7) row pairs. Pairs not `live`, or
     whose bounding circles in the ground plane do not overlap, are exactly 0.0
-    and skip the polygon step."""
+    and skip the edge clipping."""
     # centers too far apart overflow to inf, which the comparison rejects as it should
     with np.errstate(over="ignore"):
         reach = 0.5 * (np.hypot(a[:, 4], a[:, 5]) + np.hypot(b[:, 4], b[:, 5]))
@@ -301,7 +297,7 @@ def _bev_overlap(a: np.ndarray, b: np.ndarray, live=True) -> np.ndarray:
     rows = np.flatnonzero(live & near)
     area = np.zeros(len(a))
     if rows.size:
-        area[rows] = _overlap_polygon_area(a[rows], b[rows])
+        area[rows] = _overlap_area(a[rows], b[rows])
     return area
 
 

@@ -200,6 +200,29 @@ class TestEvalCommand:
         assert "'location'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_report_does_not_depend_on_the_unit_of_length(self, tmp_path):
+        # a detection touching the GT end to end outscores one equal to it; with
+        # an absolute tolerance the touching one matched at 1e-5 m (AP 100.0)
+        def line(unit, x, score=""):
+            lengths = " ".join(repr(unit * v) for v in (1.5, 1.6, 3.8, x, 1.7, 30.0))
+            return f"Car 0.00 0 0.00 100.0 120.0 200.0 180.0 {lengths} 0.0 {score}".strip()
+
+        reports = []
+        for unit in (1.0, 1e-5):
+            gt_dir, det_dir = tmp_path / f"{unit}" / "gt", tmp_path / f"{unit}" / "det"
+            gt_dir.mkdir(parents=True)
+            det_dir.mkdir()
+            (gt_dir / "000000.txt").write_text(line(unit, 0.0) + "\n")
+            (det_dir / "000000.txt").write_text(f"{line(unit, 3.8, 0.9)}\n{line(unit, 0.0, 0.8)}\n")
+            out = tmp_path / f"{unit}" / "report.json"
+            code = cli.main(["eval", "--gt-dir", str(gt_dir), "--det-dir", str(det_dir),
+                             "--criterion", "bev", "--iou", "0.5", "--mode", "r40",
+                             "--out", str(out)])
+            assert code == 0
+            reports.append(out.read_text())
+        assert json.loads(reports[0])["ap"] == 50.0
+        assert reports[1] == reports[0]
+
     @pytest.mark.parametrize(
         "gt_text, difficulty",
         [

@@ -382,6 +382,21 @@ def _kind_pairs() -> dict[str, tuple[Box3D, Box3D]]:
 _KIND_PAIRS = _kind_pairs()
 
 
+# (a, shift of b along a's heading, length of b), in units of a's length:
+# collinear pairs whose parallel edges' `den` rounds to a nonzero value, so that
+# only the kernel's parallel test keeps them on the clipping oracle
+_ROUNDED_COLLINEAR = [
+    (Box3D((15.58, 1.51, 59.45), (0.86, 2.51, 3.92), -2.828), 0.0, 1.3),
+    (Box3D((-12.51, 0.99, 19.36), (1.16, 2.01, 5.93), -2.766), -0.03, 0.6),
+    (Box3D((-10.27, -1.21, 30.73), (2.35, 2.44, 2.51), -2.48), -0.48, 0.96),
+]
+
+
+def _scaled(box: Box3D, k: float) -> Box3D:
+    """The box with every length, center included, times k."""
+    return Box3D(tuple(k * c for c in box.center), tuple(k * d for d in box.dims), box.yaw)
+
+
 def _assert_matrix_matches_clipping_oracle(pairs, criterion: str) -> None:
     dets = [a for a, _ in pairs]
     gts = [b for _, b in pairs] + [dets[0]]
@@ -429,6 +444,20 @@ class TestRotatedIoUProperties:
     def test_degenerate_kind_matches_clipping_oracle(self, criterion, kind):
         a, b = _KIND_PAIRS[kind]
         _assert_matrix_matches_clipping_oracle([(a, b), (b, a)], criterion)
+
+    def test_rounded_collinear_pairs_match_clipping_oracle(self, criterion):
+        pairs = []
+        for a, along, length in _ROUNDED_COLLINEAR:
+            h, w, l = a.dims
+            b = _shifted(a, along * l, 0.0, dims=(h, w, length * l))
+            pairs += [(a, b), (b, a)]
+        _assert_matrix_matches_clipping_oracle(pairs, criterion)
+
+    @pytest.mark.parametrize("k", [1e-100, 1e-5, 1e3, 1e100])
+    def test_iou_does_not_depend_on_the_unit_of_length(self, criterion, k):
+        for kind, (a, b) in _KIND_PAIRS.items():
+            scaled = _iou(_scaled(a, k), _scaled(b, k), criterion)
+            assert scaled == pytest.approx(_iou(a, b, criterion), abs=1e-12), kind
 
 
 class TestRotatedIoUKernel:

@@ -31,7 +31,10 @@ maps each entry name to the sha256 of one output:
   seeded `box_array` pairs of each kind (independent random boxes, identical,
   nested, overlapping along the same long edges, sharing an edge, touching at
   a corner, disjoint, rotated 90 degrees about a shared center, and near
-  each other at random), as aligned pairs and as the 40 x 40 matrix.
+  each other at random), as aligned pairs and as the 40 x 40 matrix; the
+  aligned pairs also with every length (centers and dimensions) times 1e-5
+  and times 1e3 (`pairs_x1e-05`, `pairs_x1000`), since an IoU does not depend
+  on the unit of length.
 
 Only the public API is used, so the script runs on older checkouts too. To
 check that a change leaves every output as it was, run it on a clone of the
@@ -296,6 +299,10 @@ def _iou_pairs(geometry, kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
     return geometry.box_array(a_boxes), geometry.box_array(b_boxes)
 
 
+# the other units of length the IoU pairs are also measured in
+SCALES = (1e-5, 1e3)
+
+
 def iou_entries(geometry) -> dict[str, str]:
     out = {}
     rng = np.random.default_rng(0)
@@ -307,6 +314,11 @@ def iou_entries(geometry) -> dict[str, str]:
             out[f"iou/{kind}/{criterion}/matrix"] = _sha(
                 _hex(geometry.rotated_iou(a[:, None], b[None], criterion).ravel())
             )
+            for k in SCALES:
+                unit = np.array([k] * 6 + [1.0])  # every length, not the yaw
+                out[f"iou/{kind}/{criterion}/pairs_x{k:g}"] = _sha(
+                    _hex(geometry.rotated_iou(a * unit, b * unit, criterion))
+                )
     return out
 
 
