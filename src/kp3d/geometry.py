@@ -5,11 +5,12 @@ and rotated-box IoU (bird's-eye view and full 3D).
 usable ones, always clamping dimensions; `decode_box` is its one-row form. IoU
 is one batched numpy kernel, `rotated_iou`, over (..., 7) box rows
 (`box_array`): by Green's theorem, the overlap area of two rotated rectangles
-is a sum over the part of each one's edges that lies inside the other, and
-every tolerance is relative to the edge lengths, so an IoU does not depend on
-the unit of length. Broadcasting gives a detection x ground-truth matrix in
-one call; `iou_3d`, `iou_bev` and `bev_intersection_area` are its one-pair
-forms.
+is a sum over the part of each one's edges, built from two half-axis vectors
+per box, that lies inside the other. Every tolerance is relative to the edge
+lengths, so an IoU does not depend on the unit of length; equal rows score
+exactly 1 and boxes that only touch exactly 0. Broadcasting gives a detection x
+ground-truth matrix in one call; `iou_3d`, `iou_bev` and
+`bev_intersection_area` are its one-pair forms.
 
 Camera frame follows the KITTI convention: x right, y down, z forward.
 Yaw is the rotation about the vertical (y) axis, stored normalized to (-pi, pi].
@@ -227,44 +228,36 @@ def box_array(boxes) -> np.ndarray:
     return np.array([(*b.center, *b.dims, b.yaw) for b in boxes], dtype=float).reshape(-1, 7)
 
 
-# corner offsets (along l, along w) in units of (l, w), counter-clockwise
-_CORNER_SIGNS = np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
-
-
-def _corners(rows: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """(M, 4, 2) counter-clockwise BEV corners (x, z) of (M, 7) rows, relative
-    to per-row origins (M, 2). Same corner order as `Box3D.bev_corners`."""
-    along_l = _CORNER_SIGNS[:, 0] * rows[:, 5:6]
-    along_w = _CORNER_SIGNS[:, 1] * rows[:, 4:5]
-    c, s = np.cos(rows[:, 6:7]), np.sin(rows[:, 6:7])
-    x = (rows[:, 0:1] - origin[:, 0:1]) + along_l * c + along_w * s
-    z = (rows[:, 2:3] - origin[:, 1:2]) - along_l * s + along_w * c
-    return np.stack([x, z], axis=-1)
-
-
-# the successor of each corner
-_NEXT = [1, 2, 3, 0]
-
-
 def _overlap_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """BEV intersection area of aligned (M, 7) row pairs, by Green's theorem:
     the overlap's boundary is the part of each box's edges inside the other
     box, so each edge p + t d, clipped by the other box's four half-planes to
-    [t0, t1] within t in [0, 1], adds (t1 - t0) (p x d) / 2. An edge lying on an
-    edge of the other box counts only if it is a's and the two run the same
-    way: a shared edge counts once, and boxes that only touch add nothing."""
-    origin = a[:, [0, 2]]
-    ca, cb = _corners(a, origin), _corners(b, origin)
-    r = (ca[:, _NEXT] - ca)[:, :, None, :]  # edge i of a: ca_i + t r_i
-    s = (cb[:, _NEXT] - cb)[:, None, :, :]  # edge j of b: cb_j + u s_j
-    qp = cb[:, None, :, :] - ca[:, :, None, :]
+    [t0, t1] within t in [0, 1], adds (t1 - t0) (p x d) / 2. A span no longer
+    than _PARALLEL_SIN is empty, so boxes that only touch add exactly nothing.
+    An edge on an edge of the other box counts only if it is a's and the two
+    run the same way, so a shared edge counts once. A box is its center,
+    relative to a's, and half-axis vectors hl = l/2 (cos, -sin) along the
+    heading and hw = w/2 (sin, cos) across it: its corners are center +
+    [hl + hw, hw - hl, -hl - hw, hl - hw], counter-clockwise as in
+    `Box3D.bev_corners`, and its edges [-2 hl, -2 hw, 2 hl, 2 hw]."""
+    rows = np.stack([a, b], axis=1)  # (M, 2, 7): a's row, then b's
+    cos, sin = np.cos(rows[..., 6:7]), np.sin(rows[..., 6:7])
+    hl = 0.5 * rows[..., 5:6] * np.concatenate([cos, -sin], axis=-1)
+    hw = 0.5 * rows[..., 4:5] * np.concatenate([sin, cos], axis=-1)
+    center = rows[..., 0:3:2] - a[:, None, 0:3:2]  # (x, z), relative to a's
+    p = center[:, :, None] + np.stack([hl + hw, hw - hl, -hl - hw, hl - hw], axis=2)
+    d = np.stack([-2.0 * hl, -2.0 * hw, 2.0 * hl, 2.0 * hw], axis=2)
+    # edge i of a is p_ai + t r_i, edge j of b is p_bj + u s_j
+    r, s = d[:, 0, :, None], d[:, 1, None]
+    qp = p[:, 1, None] - p[:, 0, :, None]
     den = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
-    # ca_i + t r_i is inside edge j of b where side_a - t den >= 0, and
-    # cb_j + u s_j is inside edge i of a where u den - side_b >= 0
+    # edge i of a is inside edge j of b where side_a - t den >= 0, and
+    # edge j of b is inside edge i of a where u den - side_b >= 0
     side_a = qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]
     side_b = qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]
     # edge lengths are l, w, l, w; both tolerances scale with them
-    scale = a[:, [5, 4, 5, 4], None] * b[:, None, [5, 4, 5, 4]]
+    lengths = rows[..., [5, 4, 5, 4]]
+    scale = lengths[:, 0, :, None] * lengths[:, 1, None]
     parallel = np.abs(den) <= _PARALLEL_SIN * scale
     on_edge = _ON_EDGE * scale
     # a parallel edge is inside the other edge's half-plane as a whole or not at
@@ -279,9 +272,9 @@ def _overlap_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # an edge outside a parallel half-plane ends where it starts: t1 = in_a = 0
     t0, t1 = np.where(neg, t, 0.0).max(axis=2), np.where(pos, t, in_a).min(axis=2)
     u0, u1 = np.where(pos, u, 0.0).max(axis=1), np.where(neg, u, in_b).min(axis=1)
-    spans = np.maximum(np.concatenate([t1 - t0, u1 - u0], axis=1), 0.0)
-    p, d = np.concatenate([ca, cb], axis=1), np.concatenate([r[:, :, 0], s[:, 0]], axis=1)
-    twice = (spans * (p[..., 0] * d[..., 1] - p[..., 1] * d[..., 0])).sum(axis=1)
+    spans = np.stack([t1 - t0, u1 - u0], axis=1)
+    spans = np.where(spans > _PARALLEL_SIN, spans, 0.0)
+    twice = (spans * (p[..., 0] * d[..., 1] - p[..., 1] * d[..., 0])).reshape(-1, 8).sum(axis=1)
     return np.maximum(0.5 * twice, 0.0)
 
 
@@ -307,8 +300,9 @@ def rotated_iou(a, b, criterion: str = "3d") -> np.ndarray:
     D x G matrix, two (N, 7) arrays the N aligned pairs.
 
     `criterion` is "bev" (rotated footprint in the x-z plane) or "3d"
-    (footprint overlap times vertical overlap). A pair with zero union scores
-    1.0 if the rows are equal and 0.0 otherwise.
+    (footprint overlap times vertical overlap). Equal rows score exactly 1.0.
+    Boxes that only touch score exactly 0.0, as does any other pair with zero
+    union, which takes two boxes of zero size.
     """
     if criterion not in ("3d", "bev"):
         raise ValueError(f"criterion must be '3d' or 'bev', got {criterion!r}")
@@ -326,9 +320,10 @@ def rotated_iou(a, b, criterion: str = "3d") -> np.ndarray:
     else:
         inter = _bev_overlap(a, b)
         union = a[:, 4] * a[:, 5] + b[:, 4] * b[:, 5] - inter
-    degenerate = union <= 0
-    iou = np.clip(inter / np.where(degenerate, 1.0, union), 0.0, 1.0)
-    iou[degenerate] = (a[degenerate] == b[degenerate]).all(axis=1)
+    iou = np.clip(np.divide(inter, union, out=np.zeros_like(union), where=union > 0), 0.0, 1.0)
+    # equal rows share their x, so only those pairs need a whole-row comparison
+    same_x = np.flatnonzero(a[:, 0] == b[:, 0])
+    iou[same_x[(a[same_x] == b[same_x]).all(axis=1)]] = 1.0
     return iou.reshape(shape)
 
 

@@ -317,17 +317,20 @@ def _shifted(box: Box3D, along: float, across: float, dims=None, yaw_offset=0.0)
     )
 
 
+_PAIR_KINDS = (
+    "independent", "identical", "nested", "collinear", "edge", "corner", "disjoint", "rot90", "near"
+)
+
+
 @st.composite
-def box_pairs(draw):
-    """Pairs of boxes: independent, identical, nested, overlapping along the
-    same long edges, sharing an edge, touching at a corner, disjoint, rotated
-    by 90 degrees about a shared center, or overlapping at random."""
+def box_pairs(draw, kinds=_PAIR_KINDS):
+    """Pairs of boxes of one of `kinds`: independent, identical, nested,
+    overlapping along the same long edges, sharing an edge, touching at a
+    corner, disjoint, rotated by 90 degrees about a shared center, or
+    overlapping at random."""
     a = draw(_BOXES)
     h, w, l = a.dims
-    kind = draw(st.sampled_from(
-        ["independent", "identical", "nested", "collinear", "edge", "corner", "disjoint",
-         "rot90", "near"]
-    ))
+    kind = draw(st.sampled_from(kinds))
     if kind == "independent":
         b = draw(_BOXES)
     elif kind == "identical":
@@ -418,8 +421,20 @@ class TestRotatedIoUProperties:
         assert abs(iou_ab - iou_ba) <= 1e-12
 
     @given(_BOXES)
+    # a box whose clipped overlap with itself rounds below its own area, to an
+    # IoU of 1 - 1e-15 (3d) and 1 - 7e-16 (bev)
+    @example(box=Box3D((9.64, 1.39, 28.4), (1.36, 1.42, 3.51), -0.341))
     def test_self_iou_is_one(self, criterion, box):
-        assert _iou(box, box, criterion) == pytest.approx(1.0, abs=1e-12)
+        assert _iou(box, box, criterion) == 1.0
+
+    @given(box_pairs(kinds=("edge", "corner")))
+    # clipped spans of rounding size would give the edge pair an IoU of about 2e-17
+    @example(pair=_KIND_PAIRS["edge"])
+    @example(pair=_KIND_PAIRS["corner"])
+    def test_touching_boxes_are_exactly_zero(self, criterion, pair):
+        a, b = pair
+        assert _iou(a, b, criterion) == 0.0
+        assert _iou(b, a, criterion) == 0.0
 
     @given(
         box_pairs(),

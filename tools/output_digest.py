@@ -2,8 +2,9 @@
 compared for byte identity.
 
     python tools/output_digest.py <checkout> <out.json>
+    python tools/output_digest.py compare <parent.json> <change.json>
 
-The script imports `kp3d` from `<checkout>/src` and writes a JSON object that
+The first form imports `kp3d` from `<checkout>/src` and writes a JSON object that
 maps each entry name to the sha256 of one output:
 
 - `pipeline/...`: `synth.run_pipeline` on 180 seeded scenes (seeds 0-44 x
@@ -38,12 +39,18 @@ maps each entry name to the sha256 of one output:
 
 Only the public API is used, so the script runs on older checkouts too. To
 check that a change leaves every output as it was, run it on a clone of the
-parent commit and on the change, then diff the two files:
+parent commit and on the change, then compare the two files:
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python tools/output_digest.py ../parent parent.json
     python tools/output_digest.py . change.json
-    diff parent.json change.json && echo identical
+    python tools/output_digest.py compare parent.json change.json
+
+`compare` reads the two files with `json` alone, so they may come from any
+checkouts. It prints how many entries changed of each family's total, per
+top-level family (`iou`) and per second-level key (`iou/edge`), then the name
+of every changed entry; an entry in only one file counts as changed. It exits
+0 only if the two files are identical, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -322,8 +329,41 @@ def iou_entries(geometry) -> dict[str, str]:
     return out
 
 
+def compare(parent: dict, change: dict) -> tuple[dict, list[str]]:
+    """(counts, changed): [changed, total] entries per top-level family and per
+    second-level key, and the sorted names of the changed entries."""
+    counts, changed = {}, []
+    for name in sorted(parent.keys() | change.keys()):
+        differs = parent.get(name) != change.get(name)
+        family, key = name.split("/")[:2]
+        for group in (family, f"{family}/{key}"):
+            count = counts.setdefault(group, [0, 0])
+            count[0] += differs
+            count[1] += 1
+        if differs:
+            changed.append(name)
+    return counts, changed
+
+
+def _compare(parent_path: Path, change_path: Path) -> int:
+    parent, change = json.loads(parent_path.read_text()), json.loads(change_path.read_text())
+    counts, changed = compare(parent, change)
+    for group, (n_changed, total) in sorted(counts.items()):
+        indent = "  " if "/" in group else ""
+        print(f"{indent}{group}: {n_changed} of {total} changed")
+    for name in changed:
+        only = "" if name in parent and name in change else (
+            " (only in the parent)" if name in parent else " (only in the change)"
+        )
+        print(f"changed: {name}{only}")
+    print(f"{len(changed)} of {len(parent.keys() | change.keys())} entries changed")
+    return 1 if changed else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) == 3 and argv[0] == "compare":
+        return _compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 2 or argv[0] == "compare":
         print(__doc__, file=sys.stderr)
         return 64
     checkout, out_path = Path(argv[0]).resolve(), Path(argv[1])
